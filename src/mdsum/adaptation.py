@@ -27,6 +27,7 @@ from .inference import DecoderEmbedding, HoldoutRecords, decoder_embed, decoder_
 from .kernels import MeanEmbedding, mean_embedding
 from .optimize import OptimOptions, gd_minimize, lbfgs_minimize
 from .simulators import make_task
+from .util import check_finite
 
 
 @dataclass
@@ -68,10 +69,14 @@ def calibrate_threshold(dec: DecoderEmbedding, holdout: HoldoutRecords,
 def detect(dec: DecoderEmbedding, s0, obs_embedding: MeanEmbedding):
     """Misspecification check at the observed summary.
 
-    Returns (statistic, flagged). Requires a calibrated threshold.
+    Returns (statistic, flagged). Requires a calibrated threshold. Raises
+    NumericalError on a non-finite summary or embedding, whose statistic
+    would compare as not flagged.
     """
     if dec.threshold is None:
         raise RuntimeError("detection threshold not calibrated; run calibrate_threshold first")
+    check_finite("observed summary", s0)
+    check_finite("observed embedding", obs_embedding.values)
     pred = decoder_embed(dec, s0).values
     diff = pred - obs_embedding.values
     statistic = float(diff @ diff)
@@ -111,12 +116,17 @@ def adapt(dec: DecoderEmbedding, observations, optimizer: str = "lbfgs",
     summary is returned untouched. With gate=False adaptation always runs
     (used by the consistency and stability checks). The summary function is
     taken from the decoder's task metadata unless summary_fn is given.
+    Non-finite observations or summaries raise NumericalError, so the gate
+    never lets them through as not flagged.
     """
     if summary_fn is None:
         if not dec.task_name:
             raise ValueError("decoder has no task metadata; pass summary_fn")
         summary_fn = make_task(dec.task_name, **dec.task_params).summary
+    observations = np.asarray(observations, dtype=np.float64)
+    check_finite("observations", observations)
     s0 = np.asarray(summary_fn(observations), dtype=np.float64)
+    check_finite("observed summary", s0)
     obs_emb = mean_embedding(dec.feature_map, observations)
 
     pred0 = decoder_embed(dec, s0).values

@@ -21,6 +21,9 @@ from scipy.spatial.distance import cdist, pdist
 from .util import as_2d_f64, check_finite, decode_floats, encode_floats
 
 BANDWIDTH_FLOOR = 1e-8
+# bytes of pair differences median_heuristic's sampled path gathers at a
+# time, which bounds its temporaries whatever the row width
+GATHER_BYTES = 1 << 24
 
 
 @dataclass
@@ -81,7 +84,11 @@ def median_heuristic(data, max_pairs: int = 1_000_000, rng: np.random.Generator 
         if rng is None:
             rng = np.random.default_rng(0)
         i, j = _sample_distinct_pairs(n, max_pairs, rng)
-        dists = np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=1))
+        chunk = max(1, GATHER_BYTES // x[0].nbytes)
+        dists = np.empty(max_pairs)
+        for start in range(0, max_pairs, chunk):
+            rows = slice(start, start + chunk)
+            dists[rows] = np.sqrt(np.sum((x[i[rows]] - x[j[rows]]) ** 2, axis=1))
     med = float(np.median(dists))
     return max(med, BANDWIDTH_FLOOR)
 

@@ -1,11 +1,21 @@
 """Benchmark simulators and their hand-crafted summary statistics.
 
-Each task bundles a prior, a simulator producing one dataset (N rows, one
-row per observation or trajectory), and a fixed summary function. simulate
-validates that the parameter lies in the prior support; simulate_raw skips
-the check so posterior-predictive resampling can probe out-of-prior
-parameters without crashing. Trajectory values are clipped at +-1e30 to
-keep explosive off-prior dynamics finite.
+Each task bundles a prior, two simulators and a fixed summary function.
+simulate(theta, rng) produces one dataset from one parameter (N rows, one
+row per observation or trajectory) and validates that the parameter lies in
+the prior support. simulate_raw(thetas, rng) is batched and unchecked: it
+takes (n, theta_dim) parameters and returns (n, obs_dim), one observation
+row per parameter, so posterior-predictive resampling can probe
+out-of-prior parameters in one call. It draws its noise row-major (all of
+row 0, then row 1, ...), so its output is bit-identical to n sequential
+single-row simulations.
+
+The OU and SIR tasks share one Euler loop each, driven by a pre-drawn noise
+block of shape (horizon, n_traj) whose draw order the caller picks:
+step-major for a dataset or contamination block from one parameter,
+row-major (transposed) for predictive rows. A numpy Generator gives the
+same values for one large draw as for successive small ones. Trajectory
+values are clipped at +-1e30 to keep explosive off-prior dynamics finite.
 
 All randomness flows through numpy Generators; build_training_pool derives
 one child stream per dataset index so pools are reproducible under any
@@ -35,7 +45,9 @@ class TaskSpec:
     params: dict
     prior_sample: Callable
     simulate: Callable  # (theta, rng) -> (n_obs, obs_dim), validates support
-    simulate_raw: Callable  # same, without the support check
+    # (thetas (n, theta_dim), rng) -> (n, obs_dim): one row per parameter,
+    # noise drawn row-major, no support check
+    simulate_raw: Callable
     summary: Callable  # (dataset) -> (summary_dim,)
 
 
@@ -56,6 +68,13 @@ def _check_dataset(data, n_obs, obs_dim, name):
     return x
 
 
+def _check_thetas(thetas, theta_dim):
+    t = np.asarray(thetas, dtype=np.float64)
+    if t.ndim != 2 or t.shape[1] != theta_dim:
+        raise ValueError(f"thetas must have shape (n, {theta_dim}), got {t.shape}")
+    return t
+
+
 # ---------------------------------------------------------------------------
 # Gaussian location
 # ---------------------------------------------------------------------------
@@ -74,13 +93,17 @@ def gaussian_task(d: int = 2, n_obs: int = 100) -> TaskSpec:
             raise ValueError(f"theta must have shape ({d},), got {t.shape}")
         return t + rng.standard_normal((n_obs, d))
 
+    def simulate_raw(thetas, rng):
+        t = _check_thetas(thetas, d)
+        return t + rng.standard_normal(t.shape)
+
     def summary(data):
         return _check_dataset(data, n_obs, d, "gaussian_task").mean(axis=0)
 
     return TaskSpec(
         name="gaussian", theta_dim=d, obs_dim=d, n_obs=n_obs, summary_dim=d,
         params={"d": d, "n_obs": n_obs},
-        prior_sample=prior_sample, simulate=simulate, simulate_raw=simulate,
+        prior_sample=prior_sample, simulate=simulate, simulate_raw=simulate_raw,
         summary=summary,
     )
 
@@ -137,6 +160,13 @@ def factor_task(obs_dim: int = 5, n_obs: int = 100,
             raise ValueError(f"theta must have shape (2,), got {t.shape}")
         return a @ t + rng.standard_normal((n_obs, obs_dim))
 
+    def simulate_raw(thetas, rng):
+        t = _check_thetas(thetas, 2)
+        # one a @ theta per row, as simulate computes it: a single
+        # t @ a.T rounds some entries differently in the last bit
+        means = np.array([a @ row for row in t]).reshape(t.shape[0], obs_dim)
+        return means + rng.standard_normal((t.shape[0], obs_dim))
+
     def summary(data):
         xbar = _check_dataset(data, n_obs, obs_dim, "factor_task").mean(axis=0)
         return pinv @ xbar
@@ -144,7 +174,7 @@ def factor_task(obs_dim: int = 5, n_obs: int = 100,
     return TaskSpec(
         name="factor", theta_dim=2, obs_dim=obs_dim, n_obs=n_obs, summary_dim=2,
         params={"obs_dim": obs_dim, "n_obs": n_obs, "loading": a.tolist()},
-        prior_sample=prior_sample, simulate=simulate, simulate_raw=simulate,
+        prior_sample=prior_sample, simulate=simulate, simulate_raw=simulate_raw,
         summary=summary,
     )
 
@@ -158,24 +188,35 @@ OUP_SIGMA2 = 0.1
 OUP_BOUNDS = ((0.0, 2.0), (-2.0, 2.0))
 
 
-def simulate_oup_trajectories(theta, n_traj: int, horizon: int, rng: np.random.Generator,
-                              x0: float = OUP_X0, sigma2: float = OUP_SIGMA2,
-                              dt: float = 1.0) -> np.ndarray:
+def _oup_paths(theta, noise: np.ndarray, x0: float = OUP_X0, sigma2: float = OUP_SIGMA2,
+               dt: float = 1.0) -> np.ndarray:
     """Euler-Maruyama paths of dX = th1 (exp(th2) - X) dt + sigma dW.
 
-    Records X_1 .. X_horizon (the fixed X_0 is not part of the data).
+    theta is one parameter (2,) for every path or one per path (n_traj, 2).
+    noise holds the standard normal increments, shape (horizon, n_traj);
+    step t uses row t. Records X_1 .. X_horizon (the fixed X_0 is not part
+    of the data) as (n_traj, horizon).
     """
-    th1, th2 = float(theta[0]), float(theta[1])
+    th = np.asarray(theta, dtype=np.float64)
+    th1, th2 = th[..., 0], th[..., 1]
+    horizon, n_traj = noise.shape
     sigma = np.sqrt(sigma2)
     sqrt_dt = np.sqrt(dt)
     level = np.exp(th2)
     x = np.full(n_traj, x0)
     out = np.empty((n_traj, horizon))
     for t in range(horizon):
-        x = x + th1 * (level - x) * dt + sigma * sqrt_dt * rng.standard_normal(n_traj)
+        x = x + th1 * (level - x) * dt + sigma * sqrt_dt * noise[t]
         np.clip(x, -TRAJECTORY_CLIP, TRAJECTORY_CLIP, out=x)
         out[:, t] = x
     return out
+
+
+def simulate_oup_trajectories(theta, n_traj: int, horizon: int, rng: np.random.Generator,
+                              x0: float = OUP_X0, sigma2: float = OUP_SIGMA2,
+                              dt: float = 1.0) -> np.ndarray:
+    """n_traj OU paths from one parameter, noise drawn step-major."""
+    return _oup_paths(theta, rng.standard_normal((horizon, n_traj)), x0, sigma2, dt)
 
 
 def _lag1_corr(a: np.ndarray, b: np.ndarray) -> float:
@@ -200,8 +241,9 @@ def oup_task(n_obs: int = 100, horizon: int = 25) -> TaskSpec:
     def prior_sample(rng):
         return rng.uniform([lo1, lo2], [hi1, hi2])
 
-    def simulate_raw(theta, rng):
-        return simulate_oup_trajectories(theta, n_obs, horizon, rng)
+    def simulate_raw(thetas, rng):
+        t = _check_thetas(thetas, 2)
+        return _oup_paths(t, rng.standard_normal((t.shape[0], horizon)).T)
 
     def simulate(theta, rng):
         t = np.asarray(theta, dtype=np.float64)
@@ -209,7 +251,7 @@ def oup_task(n_obs: int = 100, horizon: int = 25) -> TaskSpec:
             raise ValueError(f"theta must have shape (2,), got {t.shape}")
         if not (lo1 <= t[0] <= hi1 and lo2 <= t[1] <= hi2):
             raise ValueError(f"theta {t.tolist()} outside the prior box {OUP_BOUNDS}")
-        return simulate_raw(t, rng)
+        return simulate_oup_trajectories(t, n_obs, horizon, rng)
 
     def summary(data):
         x = _check_dataset(data, n_obs, horizon, "oup_task")
@@ -237,9 +279,8 @@ SIR_INIT = (0.999, 0.001, 0.0)
 SIR_RATE_MAX = 0.5
 
 
-def simulate_sir_trajectories(theta, n_traj: int, horizon: int, rng: np.random.Generator,
-                              sigma: float = SIR_SIGMA, eta: float = SIR_ETA,
-                              dt: float = 1.0, return_compartments: bool = False):
+def _sir_paths(theta, noise: np.ndarray, sigma: float = SIR_SIGMA, eta: float = SIR_ETA,
+               dt: float = 1.0, return_compartments: bool = False):
     """Daily infection counts from an SIR model with a diffusing contact rate.
 
     The reproduction number follows dR0 = eta (b/g - R0) dt + sigma
@@ -247,9 +288,15 @@ def simulate_sir_trajectories(theta, n_traj: int, horizon: int, rng: np.random.G
     The effective transmission rate is g * R0. Compartments are clipped to
     [0, 1] after every Euler step; counts are population * I_t for
     t = 1 .. horizon.
+
+    theta is one parameter (2,) for every path or one per path (n_traj, 2).
+    noise holds the standard normal increments, shape (horizon, n_traj);
+    step t uses row t.
     """
-    beta, gamma = float(theta[0]), float(theta[1])
-    r0_bar = beta / gamma if gamma != 0.0 else 0.0
+    th = np.asarray(theta, dtype=np.float64)
+    beta, gamma = th[..., 0], th[..., 1]
+    r0_bar = np.divide(beta, gamma, out=np.zeros_like(beta), where=gamma != 0.0)
+    horizon, n_traj = noise.shape
     sqrt_dt = np.sqrt(dt)
     s = np.full(n_traj, SIR_INIT[0])
     i = np.full(n_traj, SIR_INIT[1])
@@ -261,8 +308,7 @@ def simulate_sir_trajectories(theta, n_traj: int, horizon: int, rng: np.random.G
         beta_eff = gamma * r0
         flow_si = beta_eff * s * i * dt
         flow_ir = gamma * i * dt
-        noise = rng.standard_normal(n_traj)
-        r0 = np.abs(r0 + eta * (r0_bar - r0) * dt + sigma * np.sqrt(np.abs(r0)) * sqrt_dt * noise)
+        r0 = np.abs(r0 + eta * (r0_bar - r0) * dt + sigma * np.sqrt(np.abs(r0)) * sqrt_dt * noise[t])
         s_new = s - flow_si
         i_new = i + flow_si - flow_ir
         r_new = r + flow_ir
@@ -274,6 +320,14 @@ def simulate_sir_trajectories(theta, n_traj: int, horizon: int, rng: np.random.G
     if return_compartments:
         return out, (s, i, r), pre_clip_sums
     return out
+
+
+def simulate_sir_trajectories(theta, n_traj: int, horizon: int, rng: np.random.Generator,
+                              sigma: float = SIR_SIGMA, eta: float = SIR_ETA,
+                              dt: float = 1.0, return_compartments: bool = False):
+    """n_traj SIR paths from one parameter, noise drawn step-major (see _sir_paths)."""
+    return _sir_paths(theta, rng.standard_normal((horizon, n_traj)), sigma, eta, dt,
+                      return_compartments)
 
 
 def _sir_trajectory_summary(x: np.ndarray) -> np.ndarray:
@@ -303,8 +357,9 @@ def sir_task(n_obs: int = 100, horizon: int = 365) -> TaskSpec:
             if 0.0 < gamma < beta < SIR_RATE_MAX:
                 return np.array([beta, gamma])
 
-    def simulate_raw(theta, rng):
-        return simulate_sir_trajectories(theta, n_obs, horizon, rng)
+    def simulate_raw(thetas, rng):
+        t = _check_thetas(thetas, 2)
+        return _sir_paths(t, rng.standard_normal((t.shape[0], horizon)).T)
 
     def simulate(theta, rng):
         t = np.asarray(theta, dtype=np.float64)
@@ -314,7 +369,7 @@ def sir_task(n_obs: int = 100, horizon: int = 365) -> TaskSpec:
             raise ValueError(
                 f"theta {t.tolist()} violates the prior constraint 0 < gamma < beta < {SIR_RATE_MAX}"
             )
-        return simulate_raw(t, rng)
+        return simulate_sir_trajectories(t, n_obs, horizon, rng)
 
     def summary(data):
         x = _check_dataset(data, n_obs, horizon, "sir_task")
@@ -383,9 +438,9 @@ def save_pool(pool: TrainingPool, path) -> None:
         "summary_dim": int(pool.summaries.shape[1]),
         "master_seed": pool.master_seed,
     }
-    np.savez_compressed(path, header=json.dumps(header),
-                        thetas=pool.thetas, datasets=pool.datasets,
-                        summaries=pool.summaries)
+    np.savez(path, header=json.dumps(header),
+             thetas=pool.thetas, datasets=pool.datasets,
+             summaries=pool.summaries)
 
 
 def load_pool(path) -> TrainingPool:

@@ -25,7 +25,7 @@ from mdsum.kernels import MeanEmbedding, build_feature_map, mean_embedding, medi
 from mdsum.nn import TrainOptions, forward_batch, mlp_init
 from mdsum.optimize import OptimOptions
 from mdsum.simulators import build_training_pool, gaussian_task
-from mdsum.util import derive_rng
+from mdsum.util import NumericalError, derive_rng
 
 N_OBS = 20
 
@@ -162,6 +162,15 @@ def test_minimize_rejects_unknown_optimizer(calibrated_decoder):
 # full pipeline
 # ---------------------------------------------------------------------------
 
+def test_detect_rejects_non_finite_input():
+    dec = zero_prediction_decoder()
+    dec.threshold = 4.0
+    with pytest.raises(NumericalError):
+        detect(dec, np.array([np.nan]), MeanEmbedding(np.array([1.5]), 5))
+    with pytest.raises(NumericalError):
+        detect(dec, np.zeros(1), MeanEmbedding(np.array([np.inf]), 5))
+
+
 def contaminated_dataset(s_true, rng):
     data = s_true + rng.standard_normal((N_OBS, 2))
     data[:4] = 6.0  # four far outliers, one fifth of the rows
@@ -237,6 +246,18 @@ def test_adapt_falls_back_when_optimizer_cannot_improve(calibrated_decoder):
     assert np.array_equal(res.s_star, res.s_initial)
     assert res.objective_final == res.objective_initial
     assert not res.converged
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adapt_fails_closed_on_non_finite_data(calibrated_decoder, bad):
+    # a non-finite statistic would compare as "not flagged"; the gate must
+    # raise instead, with the gate on or off
+    task, dec = calibrated_decoder
+    data = task.simulate(np.zeros(2), derive_rng(26, "nonfinite"))
+    data[3, 1] = bad
+    for gate in (True, False):
+        with pytest.raises(NumericalError):
+            adapt(dec, data, gate=gate)
 
 
 def test_adapt_result_is_deterministic(calibrated_decoder):

@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mdsum.kernels import (BANDWIDTH_FLOOR, FeatureMap, _sample_distinct_pairs,
+from mdsum.kernels import (BANDWIDTH_FLOOR, GATHER_BYTES, FeatureMap, _sample_distinct_pairs,
                            build_feature_map, feature_map_from_payload,
                            feature_map_load, feature_map_save, feature_map_to_payload,
                            mean_embedding, median_heuristic, mmd2_exact, mmd2_rff, rff,
@@ -53,6 +54,27 @@ def test_median_subsampling_is_deterministic_and_close():
     b = median_heuristic(x, max_pairs=5000, rng=derive_rng(1, "pairs"))
     assert a == b
     assert a == pytest.approx(full, rel=0.05)
+
+
+def test_median_sampled_gather_is_exact_and_bounded():
+    # the sampled path gathers pair differences in chunks of GATHER_BYTES:
+    # over several chunks the value must equal a one-shot gather ...
+    x = derive_rng(7, "median").standard_normal((600, 256))
+    n_pairs = 5 * GATHER_BYTES // (2 * x[0].nbytes)  # two and a half chunks
+    i, j = _sample_distinct_pairs(600, n_pairs, derive_rng(1, "pairs"))
+    expected = float(np.median(np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=1))))
+    assert median_heuristic(x, max_pairs=n_pairs, rng=derive_rng(1, "pairs")) == expected
+    # ... and the peak must stay far below the one-shot gather's size
+    x = derive_rng(8, "median").standard_normal((1000, 800))
+    n_pairs = 100_000
+    tracemalloc.start()
+    try:
+        median_heuristic(x, max_pairs=n_pairs, rng=derive_rng(2, "pairs"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full_gather_bytes = n_pairs * x[0].nbytes  # one of x[i], x[j], their difference
+    assert peak < full_gather_bytes / 4
 
 
 def test_median_rejects_degenerate_input():

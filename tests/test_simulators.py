@@ -147,8 +147,9 @@ def test_oup_support_check():
         task.simulate(np.array([2.5, 0.0]), rng)
     with pytest.raises(ValueError):
         task.simulate(np.array([1.0, -3.0]), rng)
-    # raw variant runs the same dynamics without the box check
-    raw = task.simulate_raw(np.array([2.5, 0.0]), rng)
+    # raw variant runs the same dynamics without the box check, one
+    # observation row per parameter
+    raw = task.simulate_raw(np.array([[2.5, 0.0], [1.0, -3.0]]), rng)
     assert raw.shape == (2, 5)
 
 
@@ -246,6 +247,44 @@ def test_sir_summary_shape_and_determinism():
     s = task.summary(data)
     assert s.shape == (6,)
     assert np.array_equal(s, task.summary(data.copy()))
+
+
+# ---------------------------------------------------------------------------
+# batched raw simulation
+# ---------------------------------------------------------------------------
+
+def one_row_reference(task, theta, rng):
+    """One observation row from one parameter, as a loop would draw it."""
+    if task.name == "gaussian":
+        return theta + rng.standard_normal((1, task.obs_dim))[0]
+    if task.name == "factor":
+        return np.asarray(task.params["loading"]) @ theta + rng.standard_normal(task.obs_dim)
+    if task.name == "oup":
+        return simulate_oup_trajectories(theta, 1, task.obs_dim, rng)[0]
+    return simulate_sir_trajectories(theta, 1, task.obs_dim, rng)[0]
+
+
+@pytest.mark.parametrize("task", [
+    gaussian_task(d=3, n_obs=5),
+    factor_task(obs_dim=7, n_obs=5, rng=derive_rng(45, "loading")),
+    oup_task(n_obs=5, horizon=25),
+    sir_task(n_obs=5, horizon=120),
+], ids=lambda t: t.name)
+def test_simulate_raw_matches_single_row_loop(task):
+    rng = derive_rng(45, "thetas", task.name)
+    on_prior = np.stack([task.prior_sample(rng) for _ in range(20)])
+    # off the prior: negative, zero and outsized parameters
+    off_prior = np.array([[-0.5, 3.0], [2.5, -2.5], [0.0, 0.0], [4.0, 0.1]])
+    if task.theta_dim != 2:
+        off_prior = np.repeat(off_prior, 2, axis=1)[:, :task.theta_dim]
+    thetas = np.vstack([on_prior, off_prior])
+    batched = task.simulate_raw(thetas, derive_rng(45, "draws", task.name))
+    ref_rng = derive_rng(45, "draws", task.name)
+    reference = np.stack([one_row_reference(task, t, ref_rng) for t in thetas])
+    assert batched.shape == (thetas.shape[0], task.obs_dim)
+    assert np.array_equal(batched, reference)
+    with pytest.raises(ValueError):
+        task.simulate_raw(thetas[0], ref_rng)  # one parameter, not a batch
 
 
 # ---------------------------------------------------------------------------
