@@ -2,13 +2,16 @@
 
 Given a frozen decoder and an observed dataset, the pipeline is:
 
-1. compute the observed summary s0 and the dataset's empirical mean
-   embedding;
-2. detect: compare ||mu(s0) - mu_obs||^2 against a threshold calibrated on
-   clean held-out simulations (the (1 - alpha) quantile of the same
-   statistic);
-3. only if flagged, minimize ||mu(s) - mu_obs||^2 over s starting from s0
-   and query the posterior engine at the minimizer instead.
+1. check the observations' shape against the decoder's task, then compute
+   the observed summary s0 and the dataset's empirical mean embedding;
+2. detect: compare the statistic ||mu(s0) - mu_obs||^2 against a threshold
+   calibrated on clean held-out simulations (the (1 - alpha) quantile of the
+   same statistic);
+3. only if flagged, minimize ||mu(s) - mu_obs||^2 over s starting from s0;
+   the caller queries the posterior engine at the minimizer instead.
+
+The statistic has one definition, ``_statistic``, used by calibration,
+detection and both ends of the adaptation.
 
 The posterior engine and decoder are never modified; if the optimizer fails
 to improve on s0 the original summary is kept. When s0 lies absurdly far
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import DecoderEmbedding, HoldoutRecords, decoder_embed, decoder_objective, posterior_sample, standardize
+from .inference import DecoderEmbedding, HoldoutRecords, decoder_embed, decoder_objective, standardize
 from .kernels import MeanEmbedding, mean_embedding
 from .optimize import OptimOptions, gd_minimize, lbfgs_minimize
 from .simulators import make_task
@@ -43,6 +46,12 @@ class AdaptationResult:
     converged: bool
 
 
+def _statistic(dec: DecoderEmbedding, s, embedding: np.ndarray) -> float:
+    """||mu(s) - embedding||^2, the detection statistic and the objective."""
+    diff = decoder_embed(dec, s).values - embedding
+    return float(diff @ diff)
+
+
 def calibrate_threshold(dec: DecoderEmbedding, holdout: HoldoutRecords,
                         alpha: float = 0.05) -> float:
     """Set the detection threshold from clean held-out records.
@@ -58,9 +67,7 @@ def calibrate_threshold(dec: DecoderEmbedding, holdout: HoldoutRecords,
         raise ValueError("holdout is empty")
     stats = np.empty(n)
     for i in range(n):
-        pred = decoder_embed(dec, holdout.summaries[i]).values
-        diff = pred - holdout.embeddings[i]
-        stats[i] = diff @ diff
+        stats[i] = _statistic(dec, holdout.summaries[i], holdout.embeddings[i])
     tau = float(np.quantile(stats, 1.0 - alpha, method="linear"))
     dec.threshold = tau
     return tau
@@ -77,9 +84,7 @@ def detect(dec: DecoderEmbedding, s0, obs_embedding: MeanEmbedding):
         raise RuntimeError("detection threshold not calibrated; run calibrate_threshold first")
     check_finite("observed summary", s0)
     check_finite("observed embedding", obs_embedding.values)
-    pred = decoder_embed(dec, s0).values
-    diff = pred - obs_embedding.values
-    statistic = float(diff @ diff)
+    statistic = _statistic(dec, s0, obs_embedding.values)
     return statistic, bool(statistic > dec.threshold)
 
 
@@ -116,29 +121,30 @@ def adapt(dec: DecoderEmbedding, observations, optimizer: str = "lbfgs",
     summary is returned untouched. With gate=False adaptation always runs
     (used by the consistency and stability checks). The summary function is
     taken from the decoder's task metadata unless summary_fn is given.
-    Non-finite observations or summaries raise NumericalError, so the gate
-    never lets them through as not flagged.
+    Observations that are not 2-D, or whose width or row count differs from
+    the decoder's feature map and task, raise ValueError before the summary
+    is computed. Non-finite observations or summaries raise NumericalError,
+    so the gate never lets them through as not flagged.
     """
     if summary_fn is None:
         if not dec.task_name:
             raise ValueError("decoder has no task metadata; pass summary_fn")
         summary_fn = make_task(dec.task_name, **dec.task_params).summary
     observations = np.asarray(observations, dtype=np.float64)
+    n_obs, width = dec.task_params.get("n_obs"), dec.feature_map.dim
+    if (observations.ndim != 2 or observations.shape[1] != width
+            or (n_obs is not None and observations.shape[0] != n_obs)):
+        raise ValueError(f"observations must have shape ({n_obs or 'n'}, {width}), "
+                         f"got {observations.shape}")
     check_finite("observations", observations)
     s0 = np.asarray(summary_fn(observations), dtype=np.float64)
     check_finite("observed summary", s0)
     obs_emb = mean_embedding(dec.feature_map, observations)
 
-    pred0 = decoder_embed(dec, s0).values
-    diff0 = pred0 - obs_emb.values
-    statistic = float(diff0 @ diff0)
-
     if gate:
-        if dec.threshold is None:
-            raise RuntimeError("gate requires a calibrated threshold; run calibrate_threshold")
-        triggered = statistic > dec.threshold
+        statistic, triggered = detect(dec, s0, obs_emb)
     else:
-        triggered = True
+        statistic, triggered = _statistic(dec, s0, obs_emb.values), True
 
     if not triggered:
         return AdaptationResult(
@@ -148,9 +154,7 @@ def adapt(dec: DecoderEmbedding, observations, optimizer: str = "lbfgs",
 
     s_star, iters, converged = minimize_embedding_distance(
         dec, obs_emb.values, s0, optimizer=optimizer, opts=opts)
-    pred_star = decoder_embed(dec, s_star).values
-    diff_star = pred_star - obs_emb.values
-    final = float(diff_star @ diff_star)
+    final = _statistic(dec, s_star, obs_emb.values)
     if not np.all(np.isfinite(s_star)) or not (final < statistic):
         # safe fallback: keep the observed summary
         s_star, final, converged = s0.copy(), statistic, False
@@ -158,9 +162,3 @@ def adapt(dec: DecoderEmbedding, observations, optimizer: str = "lbfgs",
         s_initial=s0, s_star=s_star, objective_initial=statistic,
         objective_final=final, detected=True, statistic=statistic,
         threshold=dec.threshold, iterations=iters, converged=converged)
-
-
-def query_robust_posterior(engine, result: AdaptationResult, n_samples: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Posterior samples at the adapted summary."""
-    return posterior_sample(engine, result.s_star, n_samples, rng)

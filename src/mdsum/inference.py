@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import FeatureMap, MeanEmbedding, feature_map_from_payload, feature_map_to_payload, rff_matrix
-from .nn import (Mlp, TrainOptions, TrainReport, fit_mlp, forward_batch, mlp_forward,
-                 mlp_from_payload, mlp_init, mlp_input_gradient, mlp_to_payload)
+from .nn import (Mlp, TrainOptions, TrainReport, fit_mlp, mlp_forward, mlp_from_payload,
+                 mlp_init, mlp_to_payload, mlp_vjp)
 from .simulators import TrainingPool, gaussian_posterior
 from .util import canonical_json, check_finite, decode_floats, encode_floats, sha256_hex
 
@@ -133,7 +133,8 @@ def decoder_embed(dec: DecoderEmbedding, s) -> MeanEmbedding:
 def decoder_objective(dec: DecoderEmbedding, target: np.ndarray):
     """phi(s) = ||mu(s) - target||^2 with its exact gradient in s.
 
-    Returns a callable suitable for the optimize module. The gradient chains
+    Returns a callable suitable for the optimize module. Each evaluation
+    runs one forward pass; the gradient reuses its activations and chains
     through the input standardization.
     """
     from .optimize import ObjectiveEval  # local import to avoid a cycle at module load
@@ -142,11 +143,10 @@ def decoder_objective(dec: DecoderEmbedding, target: np.ndarray):
 
     def objective(s: np.ndarray) -> ObjectiveEval:
         u = standardize(s, dec.summary_mean, dec.summary_std)
-        out = mlp_forward(dec.regressor, u)
+        out, vjp = mlp_vjp(dec.regressor, u)
         resid = out - target
         value = float(resid @ resid)
-        grad_u = mlp_input_gradient(dec.regressor, u, 2.0 * resid)
-        return ObjectiveEval(value, grad_u / dec.summary_std)
+        return ObjectiveEval(value, vjp(2.0 * resid) / dec.summary_std)
 
     return objective
 

@@ -12,7 +12,6 @@ distance between mean embeddings estimates the biased (V-statistic) MMD^2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,14 +104,6 @@ def build_feature_map(dim: int, n_features: int, bandwidth: float,
                       frequencies=freqs, phases=phases)
 
 
-def rff(fm: FeatureMap, x) -> np.ndarray:
-    """Feature vector z(x) for a single point, every entry in [-sqrt(2/K), sqrt(2/K)]."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != fm.dim:
-        raise ValueError(f"expected vector of length {fm.dim}, got shape {v.shape}")
-    return np.sqrt(2.0 / fm.n_features) * np.cos(fm.frequencies @ v + fm.phases)
-
-
 def rff_matrix(fm: FeatureMap, data) -> np.ndarray:
     """Feature vectors for all rows of a (N, d) dataset, returned as (N, K)."""
     x = as_2d_f64("data", data)
@@ -177,12 +168,3 @@ def feature_map_from_payload(payload: dict) -> FeatureMap:
         phases=decode_floats(payload["phases"]),
     )
 
-
-def feature_map_save(fm: FeatureMap, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(feature_map_to_payload(fm), fh)
-
-
-def feature_map_load(path) -> FeatureMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return feature_map_from_payload(json.load(fh))

@@ -7,19 +7,20 @@ them matching finite differences to high precision, so nothing in this
 module is allowed to approximate.
 
 Weights for layer l have shape (fan_out, fan_in) and act on row batches as
-``X @ W.T + b``.
+``X @ W.T + b``. Every forward pass goes through ``forward_batch``;
+``mlp_vjp`` reuses that one pass's activations for the input gradient, so a
+value-and-gradient query costs a single forward. Networks persist only as
+payloads inside the decoder and engine artifacts of ``inference``.
 """
 
 from __future__ import annotations
 
-import copy
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .util import NumericalError, canonical_json, decode_floats, encode_floats, sha256_hex
+from .util import NumericalError, decode_floats, encode_floats
 
 
 @dataclass
@@ -113,11 +114,28 @@ def forward_batch(mlp: Mlp, inputs: np.ndarray):
 
 def mlp_forward(mlp: Mlp, x) -> np.ndarray:
     """Forward pass on a single input vector."""
+    return mlp_vjp(mlp, x)[0]
+
+
+def mlp_vjp(mlp: Mlp, x):
+    """Forward pass on a single input vector, with its vector-Jacobian product.
+
+    Returns (output, vjp): vjp(upstream) is the gradient of upstream . output
+    with respect to x, backpropagated through the activations of this one
+    forward pass.
+    """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] != mlp.layer_dims[0]:
         raise ValueError(f"expected vector of length {mlp.layer_dims[0]}, got shape {v.shape}")
-    out, _ = forward_batch(mlp, v[None, :])
-    return out[0]
+    out, acts = forward_batch(mlp, v[None, :])
+
+    def vjp(upstream) -> np.ndarray:
+        g = np.asarray(upstream, dtype=np.float64)[None, :]
+        for l in range(len(mlp.weights) - 1, 0, -1):
+            g = (g @ mlp.weights[l]) * (1.0 - acts[l] ** 2)
+        return (g @ mlp.weights[0])[0]
+
+    return out[0], vjp
 
 
 def backward_from_output_grad(mlp: Mlp, activations: list, grad_out: np.ndarray) -> Gradients:
@@ -160,16 +178,6 @@ def mlp_backward(mlp: Mlp, inputs, targets):
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss in mlp_backward")
     return loss, backward_from_output_grad(mlp, acts, grad_out)
-
-
-def mlp_input_gradient(mlp: Mlp, x, upstream) -> np.ndarray:
-    """Gradient of upstream . output with respect to the input vector."""
-    v = np.asarray(x, dtype=np.float64)
-    _, acts = forward_batch(mlp, v[None, :])
-    g = np.asarray(upstream, dtype=np.float64)[None, :]
-    for l in range(len(mlp.weights) - 1, 0, -1):
-        g = (g @ mlp.weights[l]) * (1.0 - acts[l] ** 2)
-    return (g @ mlp.weights[0])[0]
 
 
 def adam_init(mlp: Mlp, learning_rate: float = 5e-4, beta1: float = 0.9,
@@ -301,21 +309,3 @@ def mlp_from_payload(payload: dict) -> Mlp:
         activation=payload["activation"],
     )
 
-
-def mlp_save(mlp: Mlp, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mlp_to_payload(mlp), fh)
-
-
-def mlp_load(path) -> Mlp:
-    with open(path, "r", encoding="utf-8") as fh:
-        return mlp_from_payload(json.load(fh))
-
-
-def mlp_hash(mlp: Mlp) -> str:
-    """Content hash of the exact parameter values."""
-    return sha256_hex(canonical_json(mlp_to_payload(mlp)))
-
-
-def clone_mlp(mlp: Mlp) -> Mlp:
-    return copy.deepcopy(mlp)

@@ -5,16 +5,13 @@ import pytest
 from helpers import closed_form_embedding
 
 from mdsum.adaptation import (
-    AdaptationResult,
     _optimizer_start,
     adapt,
     calibrate_threshold,
     detect,
     minimize_embedding_distance,
-    query_robust_posterior,
 )
 from mdsum.inference import (
-    AnalyticGaussianEngine,
     DecoderEmbedding,
     HoldoutRecords,
     decoder_embed,
@@ -260,6 +257,40 @@ def test_adapt_fails_closed_on_non_finite_data(calibrated_decoder, bad):
             adapt(dec, data, gate=gate)
 
 
+@pytest.mark.parametrize("shape", [(N_OBS + 1, 2), (N_OBS, 3), (2 * N_OBS,)],
+                         ids=["rows", "width", "1d"])
+def test_adapt_rejects_wrongly_shaped_observations(calibrated_decoder, shape):
+    # a dataset the decoder's task cannot have produced must fail loudly,
+    # before any summary is computed, with the gate on or off
+    _, dec = calibrated_decoder
+    data = derive_rng(26, "shape").standard_normal(shape)
+
+    def summary_fn(_):
+        raise AssertionError("summary computed on a wrongly shaped dataset")
+
+    for gate in (True, False):
+        with pytest.raises(ValueError, match="observations must have shape"):
+            adapt(dec, data, gate=gate)
+        with pytest.raises(ValueError, match="observations must have shape"):
+            adapt(dec, data, gate=gate, summary_fn=summary_fn)
+
+
+def test_detect_and_adapt_share_the_statistic(calibrated_decoder):
+    # one definition: adapt's statistic and final objective are detect's
+    # statistic at s0 and at s_star, bit for bit
+    task, dec = calibrated_decoder
+    clean = task.simulate(np.array([0.2, -0.1]), derive_rng(26, "same", 0))
+    dirty = contaminated_dataset(np.array([0.5, 0.5]), derive_rng(26, "same", 1))
+    for data in (clean, dirty):
+        emb = mean_embedding(dec.feature_map, data)
+        statistic, flagged = detect(dec, task.summary(data), emb)
+        for gate in (True, False):
+            res = adapt(dec, data, gate=gate)
+            assert res.statistic == res.objective_initial == statistic
+            assert res.detected == (flagged or not gate)
+            assert res.objective_final == detect(dec, res.s_star, emb)[0]
+
+
 def test_adapt_result_is_deterministic(calibrated_decoder):
     task, dec = calibrated_decoder
     data = contaminated_dataset(np.array([-0.3, 0.8]), derive_rng(26, "det"))
@@ -269,14 +300,3 @@ def test_adapt_result_is_deterministic(calibrated_decoder):
     assert a.objective_final == b.objective_final
     assert a.iterations == b.iterations
 
-
-def test_query_robust_posterior_uses_adapted_summary():
-    engine = AnalyticGaussianEngine(n_obs=99, dim=2)
-    res = AdaptationResult(
-        s_initial=np.array([5.0, 5.0]), s_star=np.array([1.0, -1.0]),
-        objective_initial=1.0, objective_final=0.1, detected=True,
-        statistic=1.0, threshold=0.5, iterations=3, converged=True)
-    draws = query_robust_posterior(engine, res, 40_000, derive_rng(27, "q"))
-    assert draws.shape == (40_000, 2)
-    se = np.sqrt(0.01 / 40_000)
-    assert np.abs(draws.mean(axis=0) - 0.99 * res.s_star).max() < 4.0 * se

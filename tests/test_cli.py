@@ -108,6 +108,18 @@ def test_adapt_reads_npy_and_npz(bench_run, tmp_path, capsys):
     assert decode_floats(payload["s_initial"]).shape == (2,)
 
 
+def test_adapt_wrongly_shaped_data_exits_2(bench_run, tmp_path, capsys):
+    key = config_hash(config_from_dict(dict(TINY)))[:16]
+    manifest = json.loads((bench_run / f"manifest-{key}.json").read_text())
+    model = bench_run / manifest["artifacts"]["decoder"]
+    rng = derive_rng(70, "shape")
+    for shape in [(11, 2), (12, 3), (24,)]:  # wrong rows, wrong width, 1-D
+        path = tmp_path / "obs.npy"
+        np.save(path, rng.standard_normal(shape))
+        assert main(["adapt", "--model", str(model), "--data", str(path)]) == EXIT_CONFIG
+        assert "observations must have shape" in capsys.readouterr().err
+
+
 def test_verify_subcommand(bench_run, config_path, tmp_path, capsys):
     import shutil
 

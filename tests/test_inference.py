@@ -26,11 +26,12 @@ from mdsum.inference import (
     posterior_kl_analytic,
     posterior_moments,
     posterior_sample,
+    standardize,
     train_decoder,
     train_mdn,
 )
 from mdsum.kernels import build_feature_map, mean_embedding, median_heuristic
-from mdsum.nn import TrainOptions, mlp_init
+from mdsum.nn import TrainOptions, forward_batch, mlp_forward, mlp_init
 from mdsum.simulators import build_training_pool, gaussian_task
 from mdsum.util import derive_rng
 
@@ -108,6 +109,19 @@ def test_decoder_embed_is_model_predicted(trained_decoder):
     assert emb.values.shape == (64,)
 
 
+def two_pass_objective(dec, target, s):
+    """Value and gradient from two forward passes: one for the value, and a
+    second whose activations feed the input-gradient backprop."""
+    mlp = dec.regressor
+    u = standardize(s, dec.summary_mean, dec.summary_std)
+    resid = mlp_forward(mlp, u) - target
+    _, acts = forward_batch(mlp, u[None, :])
+    g = (2.0 * resid)[None, :]
+    for l in range(len(mlp.weights) - 1, 0, -1):
+        g = (g @ mlp.weights[l]) * (1.0 - acts[l] ** 2)
+    return float(resid @ resid), (g @ mlp.weights[0])[0] / dec.summary_std
+
+
 def test_decoder_objective_value_and_gradient(trained_decoder):
     _, dec, _, _ = trained_decoder
     rng = derive_rng(11, "obj")
@@ -121,6 +135,28 @@ def test_decoder_objective_value_and_gradient(trained_decoder):
         fd = fd_gradient(lambda v: obj(v).value, s)
         denom = max(1.0, float(np.abs(fd).max()))
         assert np.abs(ev.gradient - fd).max() / denom < 1e-5
+        # the single fused pass gives exactly what two passes give
+        value, gradient = two_pass_objective(dec, target, s)
+        assert ev.value == value
+        assert np.array_equal(ev.gradient, gradient)
+
+
+def test_decoder_objective_runs_one_forward_per_evaluation(trained_decoder, monkeypatch):
+    import mdsum.nn
+
+    _, dec, _, _ = trained_decoder
+    obj = decoder_objective(dec, decoder_embed(dec, np.array([0.4, -0.2])).values)
+    calls = []
+
+    def counting_forward_batch(mlp, inputs):
+        calls.append(inputs.shape)
+        return forward_batch(mlp, inputs)
+
+    monkeypatch.setattr(mdsum.nn, "forward_batch", counting_forward_batch)
+    for k, s in enumerate(derive_rng(11, "count").standard_normal((4, 2))):
+        obj(s)
+        assert len(calls) == k + 1
+    assert calls == [(1, 2)] * 4
 
 
 def test_decoder_objective_zero_at_its_own_embedding(trained_decoder):
@@ -348,6 +384,14 @@ def test_decoder_hash_tracks_threshold(trained_decoder):
     payload = decoder_to_payload(dec2)
     rebuilt, _ = decoder_from_payload(payload)
     assert rebuilt.threshold == 0.125
+    # the amortization audit rests on the hash seeing a last-bits change
+    # to a single regressor weight
+    dec3 = copy.copy(dec)
+    dec3.regressor = copy.deepcopy(dec.regressor)
+    dec3.regressor.weights[0][0, 0] += 1e-12
+    assert dec3.regressor.weights[0][0, 0] != dec.regressor.weights[0][0, 0]
+    assert decoder_hash(dec3) != base
+    assert decoder_hash(dec) == base
 
 
 def test_engine_payload_round_trips(tmp_path):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from mdsum.nn import (AdamState, Mlp, TrainOptions, adam_init, adam_step, clone_mlp,
-                      fit_mlp, forward_batch, mlp_backward, mlp_forward,
-                      mlp_from_payload, mlp_hash, mlp_init, mlp_input_gradient,
-                      mlp_load, mlp_save, mlp_to_payload)
+from mdsum.nn import (AdamState, Mlp, TrainOptions, adam_init, adam_step, fit_mlp,
+                      forward_batch, mlp_backward, mlp_forward, mlp_from_payload,
+                      mlp_init, mlp_to_payload, mlp_vjp)
 from mdsum.util import NumericalError, derive_rng
 
 
@@ -171,7 +170,9 @@ def test_input_gradient_matches_finite_differences():
     mlp = mlp_init([4, 12, 6], rng)
     x = rng.standard_normal(4)
     upstream = rng.standard_normal(6)
-    analytic = mlp_input_gradient(mlp, x, upstream)
+    out, vjp = mlp_vjp(mlp, x)
+    assert np.array_equal(out, mlp_forward(mlp, x))
+    analytic = vjp(upstream)
 
     def val():
         return float(upstream @ mlp_forward(mlp, x))
@@ -294,9 +295,10 @@ def test_fit_mlp_is_deterministic():
         x, y = _linear_regression_data(rng, n=256)
         mlp = mlp_init([3, 8, 2], derive_rng(13, "init"))
         fit_mlp(mlp, x, y, TrainOptions(max_epochs=10, patience=10), derive_rng(13, "train"))
-        return mlp_hash(mlp)
+        return mlp.weights + mlp.biases
 
-    assert run() == run()
+    a, b = run(), run()
+    assert all(np.array_equal(pa, pb) for pa, pb in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +311,4 @@ def test_payload_round_trip_is_value_exact():
     assert clone.layer_dims == mlp.layer_dims
     for a, b in zip(mlp.weights + mlp.biases, clone.weights + clone.biases):
         assert np.array_equal(a, b)
-    assert mlp_hash(clone) == mlp_hash(mlp)
 
-
-def test_save_load_round_trip(tmp_path):
-    mlp = mlp_init([2, 5, 2], np.random.default_rng(2))
-    path = tmp_path / "mlp.json"
-    mlp_save(mlp, path)
-    loaded = mlp_load(path)
-    assert mlp_hash(loaded) == mlp_hash(mlp)
-
-
-def test_hash_changes_with_parameters():
-    mlp = mlp_init([2, 2], np.random.default_rng(0))
-    h0 = mlp_hash(mlp)
-    other = clone_mlp(mlp)
-    other.weights[0][0, 0] += 1e-12
-    assert mlp_hash(other) != h0
