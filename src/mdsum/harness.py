@@ -283,7 +283,11 @@ def _format_float(x: float) -> str:
 
 
 def _eval_item(item):
-    """One (grid cell, test dataset) pair -> one CSV line per method."""
+    """One (grid cell, test dataset) pair -> (one CSV line per method, the
+    (decoder_hash, engine_hash) of the models this process evaluated with).
+
+    The hashes are taken after the rows, so that run_pipeline's
+    amortization audit also covers the copies forked workers hold."""
     cell_idx, j = item
     ctx = _CTX
     cfg, task, dec, engine = ctx.cfg, ctx.task, ctx.dec, ctx.engine
@@ -331,7 +335,7 @@ def _eval_item(item):
             _format_float(row_pred), _format_float(row_dist),
             "true" if flagged else "false", _format_float(wall_ms),
         ]))
-    return lines
+    return lines, (decoder_hash(dec), engine_hash(engine))
 
 
 class StageError(RuntimeError):
@@ -406,13 +410,9 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
 
         t0 = time.perf_counter()
         if not csv_path.exists():
-            _run_stage("evaluate", seed, _evaluate_to_csv,
-                       cfg, task, dec, engine, csv_path, jobs)
+            _run_stage("evaluate", seed, _evaluate_to_csv, cfg, task, dec, engine,
+                       csv_path, jobs, (dec_hash_before, eng_hash_before))
         timings["evaluate_ms"] = (time.perf_counter() - t0) * 1e3
-
-        # amortization audit: adaptation must never touch the frozen models
-        if decoder_hash(dec) != dec_hash_before or engine_hash(engine) != eng_hash_before:
-            raise StageError("frozen model artifacts changed during evaluation")
     except Exception as err:
         manifest["error"] = str(err)
         _flush_manifest()
@@ -429,25 +429,32 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
 
 
 def _evaluate_to_csv(cfg: ExperimentConfig, task, dec, engine, csv_path: Path,
-                     jobs: int) -> None:
+                     jobs: int, frozen_hashes: tuple) -> None:
     items = [(ci, j) for ci in range(len(cfg.contamination))
              for j in range(cfg.n_test_datasets)]
     global _CTX
     _CTX = _EvalContext(cfg=cfg, task=task, dec=dec, engine=engine)
-    if jobs == 1:
-        all_lines = [_eval_item(item) for item in items]
-    else:
-        # fork so workers inherit the prepared context; every item owns
-        # its RNG streams, so worker count cannot change the rows
-        pool_exec = concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context("fork"))
-        with pool_exec as ex:
-            all_lines = list(ex.map(_eval_item, items, chunksize=4))
+    try:
+        if jobs == 1:
+            results = [_eval_item(item) for item in items]
+        else:
+            # fork so workers inherit the prepared context; every item owns
+            # its RNG streams, so worker count cannot change the rows
+            pool_exec = concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, mp_context=multiprocessing.get_context("fork"))
+            with pool_exec as ex:
+                results = list(ex.map(_eval_item, items, chunksize=4))
+    finally:
+        _CTX = None
+    # amortization audit: adaptation must never touch the frozen models,
+    # in this process or in any worker
+    if any(hashes != frozen_hashes for _lines, hashes in results):
+        raise StageError("frozen model artifacts changed during evaluation")
     # write to a temp name then rename so an abort never leaves a partial CSV
     tmp_path = csv_path.with_suffix(".csv.tmp")
     with open(tmp_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for lines in all_lines:
+        for lines, _hashes in results:
             for line in lines:
                 fh.write(line + "\n")
     tmp_path.replace(csv_path)

@@ -6,8 +6,14 @@ simulation pool and frozen afterwards. Posterior engines answer queries
 q(theta | s): either the conjugate closed form for the Gaussian location
 task or a trained mixture density network.
 
-Both artifacts serialize to JSON with bit-exact float payloads, so content
-hashes can certify that test-time adaptation never touches them.
+Each model has one payload description (``*_to_payload``): JSON values
+plus raw float64 arrays. Saved files swap every array for its bit-exact
+hex+repr encoding (``util.encode_floats``), and ``*_from_payload`` reads
+either form. ``decoder_hash`` and ``engine_hash`` are sha256 over the
+payload's JSON skeleton, with arrays replaced by their shapes, followed by
+each array's little-endian float64 bytes in sorted-key order
+(``util.payload_hash``). They certify that test-time adaptation never
+touches the frozen models without rendering a single float to text.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .kernels import FeatureMap, MeanEmbedding, feature_map_from_payload, featur
 from .nn import (Mlp, TrainOptions, TrainReport, fit_mlp, mlp_forward, mlp_from_payload,
                  mlp_init, mlp_to_payload, mlp_vjp)
 from .simulators import TrainingPool, gaussian_posterior
-from .util import canonical_json, check_finite, decode_floats, encode_floats, sha256_hex
+from .util import as_float_array, encode_floats, map_arrays, payload_hash
 
 _CHUNK_ELEMS = 2 ** 24  # cap on rows * K per feature chunk, keeps peaks ~130 MB
 _STD_FLOOR = 1e-12
@@ -316,49 +322,52 @@ def posterior_kl_analytic(engine_a: PosteriorEngine, engine_b: PosteriorEngine,
 # ---------------------------------------------------------------------------
 
 def decoder_to_payload(dec: DecoderEmbedding, holdout: HoldoutRecords | None = None) -> dict:
+    """The decoder as JSON values and float64 arrays (aliasing the model's)."""
     payload = {
         "kind": "decoder",
         "task": {"name": dec.task_name, "params": dec.task_params},
         "feature_map": feature_map_to_payload(dec.feature_map),
         "regressor": mlp_to_payload(dec.regressor),
-        "summary_mean": encode_floats(dec.summary_mean),
-        "summary_std": encode_floats(dec.summary_std),
-        "threshold": None if dec.threshold is None else encode_floats(np.array([dec.threshold])),
+        "summary_mean": dec.summary_mean,
+        "summary_std": dec.summary_std,
+        "threshold": None if dec.threshold is None else np.array([dec.threshold]),
         "clip_band": dec.clip_band,
     }
     if holdout is not None:
-        payload["holdout"] = {
-            "summaries": encode_floats(holdout.summaries),
-            "embeddings": encode_floats(holdout.embeddings),
-        }
+        payload["holdout"] = {"summaries": holdout.summaries, "embeddings": holdout.embeddings}
     return payload
 
 
 def decoder_from_payload(payload: dict):
+    """Rebuild (decoder, holdout or None) from a payload or its saved form.
+
+    Every array is fresh (util.as_float_array), never aliasing the payload.
+    """
     if payload.get("kind") != "decoder":
         raise ValueError(f"not a decoder payload: kind={payload.get('kind')!r}")
+    threshold = payload["threshold"]
     dec = DecoderEmbedding(
         feature_map=feature_map_from_payload(payload["feature_map"]),
         regressor=mlp_from_payload(payload["regressor"]),
-        summary_mean=decode_floats(payload["summary_mean"]),
-        summary_std=decode_floats(payload["summary_std"]),
-        threshold=None if payload["threshold"] is None else float(decode_floats(payload["threshold"])[0]),
+        summary_mean=as_float_array(payload["summary_mean"]),
+        summary_std=as_float_array(payload["summary_std"]),
+        threshold=None if threshold is None else float(as_float_array(threshold)[0]),
         task_name=payload["task"]["name"],
-        task_params=payload["task"]["params"],
+        task_params=dict(payload["task"]["params"]),
         clip_band=float(payload.get("clip_band", DEFAULT_CLIP_BAND)),
     )
     holdout = None
     if "holdout" in payload:
         holdout = HoldoutRecords(
-            summaries=decode_floats(payload["holdout"]["summaries"]),
-            embeddings=decode_floats(payload["holdout"]["embeddings"]),
+            summaries=as_float_array(payload["holdout"]["summaries"]),
+            embeddings=as_float_array(payload["holdout"]["embeddings"]),
         )
     return dec, holdout
 
 
 def decoder_save(dec: DecoderEmbedding, path, holdout: HoldoutRecords | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(decoder_to_payload(dec, holdout), fh)
+        json.dump(map_arrays(decoder_to_payload(dec, holdout), encode_floats), fh)
 
 
 def decoder_load(path):
@@ -368,10 +377,11 @@ def decoder_load(path):
 
 def decoder_hash(dec: DecoderEmbedding) -> str:
     """Hash of the model content only (holdout records excluded)."""
-    return sha256_hex(canonical_json(decoder_to_payload(dec)))
+    return payload_hash(decoder_to_payload(dec))
 
 
 def engine_to_payload(engine: PosteriorEngine) -> dict:
+    """The engine as JSON values and float64 arrays (aliasing the model's)."""
     if isinstance(engine, AnalyticGaussianEngine):
         return {"kind": "engine", "variant": "analytic_gaussian",
                 "n_obs": engine.n_obs, "dim": engine.dim}
@@ -381,8 +391,8 @@ def engine_to_payload(engine: PosteriorEngine) -> dict:
             "mlp": mlp_to_payload(engine.mlp),
             "n_components": engine.n_components,
             "theta_dim": engine.theta_dim,
-            "input_mean": encode_floats(engine.input_mean),
-            "input_std": encode_floats(engine.input_std),
+            "input_mean": engine.input_mean,
+            "input_std": engine.input_std,
             "logsig_lo": engine.logsig_lo,
             "logsig_hi": engine.logsig_hi,
         }
@@ -390,6 +400,8 @@ def engine_to_payload(engine: PosteriorEngine) -> dict:
 
 
 def engine_from_payload(payload: dict) -> PosteriorEngine:
+    """Rebuild an engine from a payload or its saved form; every array is
+    fresh (util.as_float_array), never aliasing the payload."""
     if payload.get("kind") != "engine":
         raise ValueError(f"not an engine payload: kind={payload.get('kind')!r}")
     if payload["variant"] == "analytic_gaussian":
@@ -399,8 +411,8 @@ def engine_from_payload(payload: dict) -> PosteriorEngine:
             mlp=mlp_from_payload(payload["mlp"]),
             n_components=int(payload["n_components"]),
             theta_dim=int(payload["theta_dim"]),
-            input_mean=decode_floats(payload["input_mean"]),
-            input_std=decode_floats(payload["input_std"]),
+            input_mean=as_float_array(payload["input_mean"]),
+            input_std=as_float_array(payload["input_std"]),
             logsig_lo=float(payload["logsig_lo"]),
             logsig_hi=float(payload["logsig_hi"]),
         )
@@ -409,7 +421,7 @@ def engine_from_payload(payload: dict) -> PosteriorEngine:
 
 def engine_save(engine: PosteriorEngine, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(engine_to_payload(engine), fh)
+        json.dump(map_arrays(engine_to_payload(engine), encode_floats), fh)
 
 
 def engine_load(path) -> PosteriorEngine:
@@ -418,4 +430,4 @@ def engine_load(path) -> PosteriorEngine:
 
 
 def engine_hash(engine: PosteriorEngine) -> str:
-    return sha256_hex(canonical_json(engine_to_payload(engine)))
+    return payload_hash(engine_to_payload(engine))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .util import as_2d_f64, check_finite, decode_floats, encode_floats
+from .util import as_2d_f64, as_float_array, check_finite
 
 BANDWIDTH_FLOOR = 1e-8
 # bytes of pair differences median_heuristic's sampled path gathers at a
@@ -109,7 +109,13 @@ def rff_matrix(fm: FeatureMap, data) -> np.ndarray:
     x = as_2d_f64("data", data)
     if x.shape[1] != fm.dim:
         raise ValueError(f"expected rows of length {fm.dim}, got {x.shape[1]}")
-    return np.sqrt(2.0 / fm.n_features) * np.cos(x @ fm.frequencies.T + fm.phases)
+    # in place after the product: one (N, K) buffer instead of four, with
+    # the same element-wise operations, so the values are bit-identical
+    z = x @ fm.frequencies.T
+    z += fm.phases
+    np.cos(z, out=z)
+    z *= np.sqrt(2.0 / fm.n_features)
+    return z
 
 
 def mean_embedding(fm: FeatureMap, data) -> MeanEmbedding:
@@ -151,9 +157,9 @@ def feature_map_to_payload(fm: FeatureMap) -> dict:
         "kind": "feature_map",
         "dim": fm.dim,
         "n_features": fm.n_features,
-        "bandwidth": encode_floats(np.array([fm.bandwidth])),
-        "frequencies": encode_floats(fm.frequencies),
-        "phases": encode_floats(fm.phases),
+        "bandwidth": np.array([fm.bandwidth]),
+        "frequencies": fm.frequencies,
+        "phases": fm.phases,
     }
 
 
@@ -163,8 +169,7 @@ def feature_map_from_payload(payload: dict) -> FeatureMap:
     return FeatureMap(
         dim=int(payload["dim"]),
         n_features=int(payload["n_features"]),
-        bandwidth=float(decode_floats(payload["bandwidth"])[0]),
-        frequencies=decode_floats(payload["frequencies"]),
-        phases=decode_floats(payload["phases"]),
+        bandwidth=float(as_float_array(payload["bandwidth"])[0]),
+        frequencies=as_float_array(payload["frequencies"]),
+        phases=as_float_array(payload["phases"]),
     )
-

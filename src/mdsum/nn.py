@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .util import NumericalError, decode_floats, encode_floats
+from .util import NumericalError, as_float_array
 
 
 @dataclass
@@ -292,8 +292,8 @@ def mlp_to_payload(mlp: Mlp) -> dict:
         "kind": "mlp",
         "layer_dims": list(mlp.layer_dims),
         "activation": mlp.activation,
-        "weights": [encode_floats(w) for w in mlp.weights],
-        "biases": [encode_floats(b) for b in mlp.biases],
+        "weights": list(mlp.weights),
+        "biases": list(mlp.biases),
     }
 
 
@@ -304,8 +304,7 @@ def mlp_from_payload(payload: dict) -> Mlp:
         raise ValueError(f"unknown activation {payload['activation']!r}")
     return Mlp(
         layer_dims=tuple(payload["layer_dims"]),
-        weights=[decode_floats(p) for p in payload["weights"]],
-        biases=[decode_floats(p) for p in payload["biases"]],
+        weights=[as_float_array(w) for w in payload["weights"]],
+        biases=[as_float_array(b) for b in payload["biases"]],
         activation=payload["activation"],
     )
-

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -55,9 +55,58 @@ def encode_floats(arr: np.ndarray) -> dict:
 
 
 def decode_floats(payload: dict) -> np.ndarray:
-    shape = tuple(payload["shape"])
-    vals = np.array([float.fromhex(h) for h in payload["hex"]], dtype=np.float64)
-    return vals.reshape(shape)
+    hexes = payload["hex"]
+    vals = np.fromiter(map(float.fromhex, hexes), np.float64, count=len(hexes))
+    return vals.reshape(tuple(payload["shape"]))
+
+
+def as_float_array(leaf: Any) -> np.ndarray:
+    """A fresh float64 array from a payload leaf: a copy of an array, or the
+    decoding of an encode_floats dict read back from a saved file.
+
+    Decoding straight into the model's array, rather than decoding a whole
+    file first and copying it, keeps a load to one allocation per array.
+    """
+    if isinstance(leaf, dict):
+        return decode_floats(leaf)
+    return np.array(leaf, dtype=np.float64)
+
+
+def map_arrays(obj: Any, fn: Callable, sort_keys: bool = False) -> Any:
+    """Rebuild a nest of dicts and lists with each numpy array replaced by
+    fn(array). fn sees the arrays in walk order: dict insertion order, or
+    sorted keys with sort_keys."""
+    if isinstance(obj, np.ndarray):
+        return fn(obj)
+    if isinstance(obj, dict):
+        keys = sorted(obj) if sort_keys else obj
+        return {k: map_arrays(obj[k], fn, sort_keys) for k in keys}
+    if isinstance(obj, list):
+        return [map_arrays(v, fn, sort_keys) for v in obj]
+    return obj
+
+
+def payload_hash(payload: Any) -> str:
+    """sha256 over a payload of JSON values and float64 arrays.
+
+    The digest covers the canonical JSON of the payload with every array
+    replaced by its shape, then each array's little-endian float64 bytes in
+    C order, taken in sorted-key walk order. Memory layout does not change
+    it; any bit of any value, a shape, or a JSON field does.
+    """
+    arrays = []
+
+    def shape_of(a: np.ndarray) -> list:
+        arrays.append(a)
+        return list(a.shape)
+
+    digest = hashlib.sha256(canonical_json(map_arrays(payload, shape_of, sort_keys=True))
+                            .encode("utf-8"))
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NumericalError("refusing to hash non-finite values")
+        digest.update(np.ascontiguousarray(a, dtype="<f8").data)
+    return digest.hexdigest()
 
 
 def canonical_json(obj: Any) -> str:

@@ -1,10 +1,14 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and fixed models for the test suite.
 
-These are independent routes to quantities the library computes with
+The oracles are independent routes to quantities the library computes with
 learned components, kept deliberately simple so they can be trusted.
 """
 
 import numpy as np
+
+from mdsum.inference import DecoderEmbedding, HoldoutRecords
+from mdsum.kernels import FeatureMap
+from mdsum.nn import mlp_init
 
 
 def closed_form_embedding(fm, s, n_obs):
@@ -29,3 +33,24 @@ def fd_gradient(fn, x, h=1e-6):
         e[i] = h
         g[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
     return g
+
+
+def fixed_decoder(threshold=0.75):
+    """A small untrained decoder and its holdout, built from fixed arrays.
+
+    The first bias layer stays all zeros (as mlp_init leaves it), so tests
+    can flip a zero's sign bit.
+    """
+    rng = np.random.default_rng(31)
+    fm = FeatureMap(dim=2, n_features=6, bandwidth=1.25,
+                    frequencies=rng.standard_normal((6, 2)),
+                    phases=rng.uniform(0.0, 2.0 * np.pi, size=6))
+    mlp = mlp_init([2, 5, 6], rng)
+    mlp.biases[1] = rng.standard_normal(6)
+    dec = DecoderEmbedding(feature_map=fm, regressor=mlp,
+                           summary_mean=np.array([0.5, -1.0]),
+                           summary_std=np.array([2.0, 0.25]), threshold=threshold,
+                           task_name="gaussian", task_params={"d": 2, "n_obs": 20})
+    holdout = HoldoutRecords(summaries=rng.standard_normal((4, 2)),
+                             embeddings=rng.standard_normal((4, 6)))
+    return dec, holdout

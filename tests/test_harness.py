@@ -1,11 +1,14 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+import mdsum.harness
 from mdsum.harness import (
     CSV_HEADER,
     ExperimentConfig,
+    StageError,
     config_from_dict,
     config_hash,
     config_load,
@@ -212,6 +215,25 @@ def test_pipeline_parallel_rows_match_serial(tiny_run, tmp_path):
     parallel = (tmp_path / manifest_par["artifacts"]["results"]).read_bytes()
     assert parallel == serial
     assert manifest_par["decoder_hash"] == manifest["decoder_hash"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_audit_catches_a_model_changed_during_evaluation(tiny_run, tmp_path, monkeypatch, jobs):
+    cfg, out, manifest = tiny_run
+    for stage in ("pool", "decoder", "engine"):
+        shutil.copy(out / manifest["artifacts"][stage], tmp_path)
+    real_adapt = mdsum.harness.adapt
+
+    def tampering_adapt(dec, *args, **kwargs):
+        dec.regressor.weights[0][0, 0] += 1e-12
+        return real_adapt(dec, *args, **kwargs)
+
+    # forked workers inherit the patch, so at jobs=2 only their copies change
+    monkeypatch.setattr(mdsum.harness, "adapt", tampering_adapt)
+    with pytest.raises(StageError, match="frozen model artifacts changed"):
+        run_pipeline(cfg, tmp_path, jobs=jobs)
+    assert not (tmp_path / manifest["artifacts"]["results"]).exists()
+    assert mdsum.harness._CTX is None
 
 
 def test_pipeline_stage_failure_marks_manifest(tmp_path):

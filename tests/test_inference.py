@@ -1,6 +1,9 @@
+import copy
+import json
+
 import numpy as np
 import pytest
-from helpers import closed_form_embedding, fd_gradient
+from helpers import closed_form_embedding, fd_gradient, fixed_decoder
 from scipy.special import logsumexp
 from scipy.stats import norm
 
@@ -33,7 +36,7 @@ from mdsum.inference import (
 from mdsum.kernels import build_feature_map, mean_embedding, median_heuristic
 from mdsum.nn import TrainOptions, forward_batch, mlp_forward, mlp_init
 from mdsum.simulators import build_training_pool, gaussian_task
-from mdsum.util import derive_rng
+from mdsum.util import NumericalError, derive_rng, encode_floats
 
 
 def small_pool(m=1500, n_obs=20, seed=11):
@@ -384,6 +387,13 @@ def test_decoder_hash_tracks_threshold(trained_decoder):
     payload = decoder_to_payload(dec2)
     rebuilt, _ = decoder_from_payload(payload)
     assert rebuilt.threshold == 0.125
+    # a rebuilt model never aliases its source
+    for a, b in [(rebuilt.summary_mean, dec2.summary_mean),
+                 (rebuilt.feature_map.frequencies, dec2.feature_map.frequencies),
+                 (rebuilt.regressor.weights[0], dec2.regressor.weights[0])]:
+        assert np.array_equal(a, b) and not np.shares_memory(a, b)
+    assert rebuilt.task_params == dec2.task_params
+    assert rebuilt.task_params is not dec2.task_params
     # the amortization audit rests on the hash seeing a last-bits change
     # to a single regressor weight
     dec3 = copy.copy(dec)
@@ -408,6 +418,131 @@ def test_engine_payload_round_trips(tmp_path):
     assert np.array_equal(mdn_log_prob(loaded, s, np.array([[0.1]])),
                           mdn_log_prob(mdn, s, np.array([[0.1]])))
     assert engine_hash(loaded) == engine_hash(mdn)
+
+
+def _bump(arr, index):
+    """Change one entry of arr by its last bit, in place."""
+    arr[index] = np.nextafter(arr[index], np.inf)
+
+
+def _set_negative_zero(dec):
+    assert dec.regressor.biases[0][0] == 0.0 and not np.signbit(dec.regressor.biases[0][0])
+    dec.regressor.biases[0][0] = -0.0
+
+
+def _reshape_frequencies(dec):
+    fm = dec.feature_map
+    fm.frequencies = fm.frequencies.reshape(fm.dim, fm.n_features)
+
+
+DECODER_EDITS = {
+    "frequencies": lambda d: _bump(d.feature_map.frequencies, (4, 1)),
+    "phases": lambda d: _bump(d.feature_map.phases, 2),
+    "bandwidth": lambda d: setattr(d.feature_map, "bandwidth",
+                                   float(np.nextafter(d.feature_map.bandwidth, np.inf))),
+    "weights": lambda d: _bump(d.regressor.weights[1], (3, 4)),
+    "biases": lambda d: _bump(d.regressor.biases[1], 5),
+    "summary_mean": lambda d: _bump(d.summary_mean, 1),
+    "summary_std": lambda d: _bump(d.summary_std, 0),
+    "threshold": lambda d: setattr(d, "threshold", float(np.nextafter(d.threshold, np.inf))),
+    "weight_plus_1e-12": lambda d: d.regressor.weights[0].__setitem__(
+        (0, 0), d.regressor.weights[0][0, 0] + 1e-12),
+    "negative_zero": _set_negative_zero,
+    "same_bytes_other_shape": _reshape_frequencies,
+    "threshold_none": lambda d: setattr(d, "threshold", None),
+    "task_params": lambda d: d.task_params.__setitem__("n_obs", 21),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(DECODER_EDITS))
+def test_decoder_hash_sees_every_field(edit):
+    dec, _ = fixed_decoder()
+    base = decoder_hash(dec)
+    edited = copy.deepcopy(dec)
+    DECODER_EDITS[edit](edited)
+    assert decoder_hash(edited) != base
+    assert decoder_hash(dec) == base
+
+
+MDN_EDITS = {
+    "input_mean": lambda e: _bump(e.input_mean, 0),
+    "input_std": lambda e: _bump(e.input_std, 0),
+    "weights": lambda e: _bump(e.mlp.weights[1], (2, 7)),
+    "biases": lambda e: _bump(e.mlp.biases[0], 3),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MDN_EDITS))
+def test_engine_hash_sees_every_field(edit):
+    engine = make_mdn_engine(seed=23)
+    base = engine_hash(engine)
+    edited = copy.deepcopy(engine)
+    MDN_EDITS[edit](edited)
+    assert engine_hash(edited) != base
+    assert engine_hash(engine) == base
+
+
+def test_model_hashes_ignore_memory_layout():
+    dec, _ = fixed_decoder()
+    engine = make_mdn_engine(seed=23)
+    dec_f, engine_f = copy.deepcopy(dec), copy.deepcopy(engine)
+    dec_f.feature_map.frequencies = np.asfortranarray(dec.feature_map.frequencies)
+    dec_f.regressor.weights = [np.asfortranarray(w) for w in dec.regressor.weights]
+    engine_f.mlp.weights = [np.asfortranarray(w) for w in engine.mlp.weights]
+    assert not dec_f.feature_map.frequencies.flags.c_contiguous
+    assert not dec_f.regressor.weights[0].flags.c_contiguous
+    assert not engine_f.mlp.weights[1].flags.c_contiguous
+    assert decoder_hash(dec_f) == decoder_hash(dec)
+    assert engine_hash(engine_f) == engine_hash(engine)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_model_hashes_refuse_non_finite_parameters(value):
+    dec, _ = fixed_decoder()
+    dec.regressor.weights[0][1, 1] = value
+    with pytest.raises(NumericalError):
+        decoder_hash(dec)
+    engine = make_mdn_engine(seed=23)
+    engine.input_std[0] = value
+    with pytest.raises(NumericalError):
+        engine_hash(engine)
+
+
+def _old_mlp_payload(mlp):
+    return {"kind": "mlp", "layer_dims": list(mlp.layer_dims), "activation": mlp.activation,
+            "weights": [encode_floats(w) for w in mlp.weights],
+            "biases": [encode_floats(b) for b in mlp.biases]}
+
+
+def test_saved_files_keep_the_nested_hex_format(tmp_path):
+    dec, holdout = fixed_decoder()
+    fm = dec.feature_map
+    old_decoder = {
+        "kind": "decoder",
+        "task": {"name": dec.task_name, "params": dec.task_params},
+        "feature_map": {"kind": "feature_map", "dim": fm.dim, "n_features": fm.n_features,
+                        "bandwidth": encode_floats(np.array([fm.bandwidth])),
+                        "frequencies": encode_floats(fm.frequencies),
+                        "phases": encode_floats(fm.phases)},
+        "regressor": _old_mlp_payload(dec.regressor),
+        "summary_mean": encode_floats(dec.summary_mean),
+        "summary_std": encode_floats(dec.summary_std),
+        "threshold": encode_floats(np.array([dec.threshold])),
+        "clip_band": dec.clip_band,
+        "holdout": {"summaries": encode_floats(holdout.summaries),
+                    "embeddings": encode_floats(holdout.embeddings)},
+    }
+    decoder_save(dec, tmp_path / "decoder.json", holdout)
+    assert (tmp_path / "decoder.json").read_text(encoding="utf-8") == json.dumps(old_decoder)
+
+    engine = make_mdn_engine(seed=23)
+    old_engine = {"kind": "engine", "variant": "mdn", "mlp": _old_mlp_payload(engine.mlp),
+                  "n_components": engine.n_components, "theta_dim": engine.theta_dim,
+                  "input_mean": encode_floats(engine.input_mean),
+                  "input_std": encode_floats(engine.input_std),
+                  "logsig_lo": engine.logsig_lo, "logsig_hi": engine.logsig_hi}
+    engine_save(engine, tmp_path / "engine.json")
+    assert (tmp_path / "engine.json").read_text(encoding="utf-8") == json.dumps(old_engine)
 
 
 def test_engine_payload_rejects_garbage():

@@ -159,6 +159,21 @@ def test_rff_self_inner_product_near_one():
         assert abs(float(z @ z) - 1.0) < 0.1
 
 
+def test_rff_matrix_is_exact_in_one_buffer():
+    fm = build_feature_map(25, 512, 2.0, derive_rng(23, "fm"))
+    x = derive_rng(23, "x").standard_normal((2000, 25)) * 3.0
+    # the textbook expression, with its four full-size temporaries
+    expected = np.sqrt(2.0 / fm.n_features) * np.cos(x @ fm.frequencies.T + fm.phases)
+    tracemalloc.start()
+    try:
+        feats = rff_matrix(fm, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(feats, expected)
+    assert peak < 1.5 * feats.nbytes
+
+
 def test_rff_rejects_wrong_dim():
     fm = build_feature_map(3, 4, 1.0, derive_rng(0))
     with pytest.raises(ValueError):
@@ -294,5 +309,7 @@ def test_feature_map_round_trip_exact():
     assert clone.bandwidth == fm.bandwidth
     assert np.array_equal(clone.frequencies, fm.frequencies)
     assert np.array_equal(clone.phases, fm.phases)
+    assert not np.shares_memory(clone.frequencies, fm.frequencies)
+    assert not np.shares_memory(clone.phases, fm.phases)
     x = np.array([[0.1, -0.7, 2.0, 0.0]])
     assert np.array_equal(rff_matrix(clone, x), rff_matrix(fm, x))

@@ -311,4 +311,5 @@ def test_payload_round_trip_is_value_exact():
     assert clone.layer_dims == mlp.layer_dims
     for a, b in zip(mlp.weights + mlp.biases, clone.weights + clone.biases):
         assert np.array_equal(a, b)
+        assert not np.shares_memory(a, b)
 

@@ -1,15 +1,22 @@
-"""The benchmark's tracer must still find every name it patches in mdsum.
+"""The benchmark's tooling must keep working on what mdsum writes and exports.
 
 perfbench/tracing.py wraps mdsum functions at the module attributes they
 are looked up by, so a src change that drops or renames one of them breaks
-every traced benchmark run with AttributeError. install runs in a fresh
-interpreter, because it patches the package for the life of the process.
+every traced benchmark run with AttributeError. perfbench/workloads.py
+reads the saved decoder file with its own parser, so a change to the file
+format breaks every oup-serve run. Both run in a fresh interpreter: install
+patches the package for the life of the process.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+from helpers import fixed_decoder
+
+from mdsum.inference import decoder_save
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,9 +30,40 @@ assert mdsum.nn.forward_batch.__wrapped__ is not None
 """
 
 
-def test_perfbench_tracer_installs_on_the_package():
+READ_DECODER = """
+import sys
+from pathlib import Path
+import numpy as np
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import workloads
+arrays = workloads._decoder_arrays(Path(sys.argv[3]))
+flat = {f"{key}{i}": a for key in ("weights", "biases") for i, a in enumerate(arrays[key])}
+flat.update((key, arrays[key]) for key in ("mean", "std", "freqs", "phases"))
+np.savez(sys.argv[4], **flat)
+"""
+
+
+def _run(script, *args):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench")],
+        [sys.executable, "-c", script, str(ROOT / "src"), str(ROOT / "perfbench"), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_tracer_installs_on_the_package():
+    _run(SCRIPT)
+
+
+def test_perfbench_reads_the_saved_decoder(tmp_path):
+    dec, holdout = fixed_decoder()
+    decoder_save(dec, tmp_path / "decoder.json", holdout)
+    _run(READ_DECODER, str(tmp_path / "decoder.json"), str(tmp_path / "arrays.npz"))
+    with np.load(tmp_path / "arrays.npz") as read:
+        expected = {"mean": dec.summary_mean, "std": dec.summary_std,
+                    "freqs": dec.feature_map.frequencies, "phases": dec.feature_map.phases}
+        for i, (w, b) in enumerate(zip(dec.regressor.weights, dec.regressor.biases)):
+            expected[f"weights{i}"], expected[f"biases{i}"] = w, b
+        assert sorted(read.files) == sorted(expected)
+        for key, value in expected.items():
+            assert np.array_equal(read[key], value), key
