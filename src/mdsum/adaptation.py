@@ -28,7 +28,7 @@ import numpy as np
 
 from .inference import DecoderEmbedding, HoldoutRecords, decoder_embed, decoder_objective, standardize
 from .kernels import MeanEmbedding, mean_embedding
-from .optimize import OptimOptions, gd_minimize, lbfgs_minimize
+from .optimize import OptimOptions, lbfgs_minimize
 from .simulators import make_task
 from .util import check_finite
 
@@ -97,23 +97,19 @@ def _optimizer_start(dec: DecoderEmbedding, s0: np.ndarray) -> np.ndarray:
 
 
 def minimize_embedding_distance(dec: DecoderEmbedding, target, s0,
-                                optimizer: str = "lbfgs",
                                 opts: OptimOptions | None = None):
-    """Minimize ||mu(s) - target||^2 from s0. Returns (s, iterations, converged)."""
+    """Minimize ||mu(s) - target||^2 from s0 with L-BFGS.
+
+    Returns (s, iterations, converged).
+    """
     target = np.asarray(target, dtype=np.float64)
     s0 = np.asarray(s0, dtype=np.float64)
     objective = decoder_objective(dec, target)
-    start = _optimizer_start(dec, s0)
-    if optimizer == "lbfgs":
-        return lbfgs_minimize(objective, start, opts)
-    if optimizer == "gd":
-        return gd_minimize(objective, start, opts)
-    raise ValueError(f"unknown optimizer {optimizer!r} (expected 'lbfgs' or 'gd')")
+    return lbfgs_minimize(objective, _optimizer_start(dec, s0), opts)
 
 
-def adapt(dec: DecoderEmbedding, observations, optimizer: str = "lbfgs",
-          opts: OptimOptions | None = None, gate: bool = True,
-          summary_fn=None) -> AdaptationResult:
+def adapt(dec: DecoderEmbedding, observations, opts: OptimOptions | None = None,
+          gate: bool = True, summary_fn=None) -> AdaptationResult:
     """Full query-side pipeline for one observed dataset.
 
     With the gate enabled (default), adaptation only runs when the detection
@@ -152,8 +148,7 @@ def adapt(dec: DecoderEmbedding, observations, optimizer: str = "lbfgs",
             objective_final=statistic, detected=False, statistic=statistic,
             threshold=dec.threshold, iterations=0, converged=True)
 
-    s_star, iters, converged = minimize_embedding_distance(
-        dec, obs_emb.values, s0, optimizer=optimizer, opts=opts)
+    s_star, iters, converged = minimize_embedding_distance(dec, obs_emb.values, s0, opts)
     final = _statistic(dec, s_star, obs_emb.values)
     if not np.all(np.isfinite(s_star)) or not (final < statistic):
         # safe fallback: keep the observed summary

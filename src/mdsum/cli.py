@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages: simulate, train, calibrate, adapt,
-evaluate, bench (everything), summarize, verify. Exit codes: 0 success,
-2 configuration/usage error, 3 numerical failure.
+Subcommands: simulate (pool), train (pool, decoder with its calibrated
+gate, and posterior engine), adapt (one observed dataset), evaluate and its
+alias bench (every stage, each served from cache when present, then the
+evaluation grid), summarize, verify. Only evaluate/bench take --jobs and
+--no-gate. Exit codes: 0 success, 2 configuration/usage error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -14,24 +17,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import NumericalError, encode_floats
+from .util import NumericalError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
-    p.add_argument("--config", required=config_required,
-                   help="experiment config file (JSON or YAML)")
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--config", required=True, help="experiment config file (JSON or YAML)")
     p.add_argument("--out-dir", default="runs", help="artifact/cache directory")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config's master_seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for evaluation")
+
+
+def _add_no_gate(p: argparse.ArgumentParser):
     p.add_argument("--no-gate", action="store_true",
                    help="disable the misspecification gate (always adapt)")
-    p.add_argument("--optimizer", choices=("lbfgs", "gd"), default=None,
-                   help="override the config's optimizer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,25 +46,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="build and cache the training pool")
     _add_common(p)
 
-    p = sub.add_parser("train", help="train and cache the decoder and posterior engine")
-    _add_common(p)
-
-    p = sub.add_parser("calibrate", help="(re)calibrate the detection threshold")
+    p = sub.add_parser("train", help="train and cache the decoder (with its calibrated "
+                                     "gate) and the posterior engine")
     _add_common(p)
 
     p = sub.add_parser("adapt", help="adapt one observed dataset against a decoder bundle")
     p.add_argument("--model", required=True, help="decoder bundle JSON")
     p.add_argument("--data", required=True, help="observed dataset (.npz, .npy or .csv)")
     p.add_argument("--out", default=None, help="write the result JSON here (default stdout)")
-    p.add_argument("--no-gate", action="store_true",
-                   help="disable the misspecification gate (always adapt)")
-    p.add_argument("--optimizer", choices=("lbfgs", "gd"), default="lbfgs")
+    _add_no_gate(p)
 
-    p = sub.add_parser("evaluate", help="run the evaluation grid against cached models")
-    _add_common(p)
-
-    p = sub.add_parser("bench", help="full pipeline: simulate, train, calibrate, evaluate")
-    _add_common(p)
+    for name, text in (("evaluate", "run every stage (cached) and the evaluation grid"),
+                       ("bench", "alias of evaluate")):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.add_argument("--jobs", type=int, default=1, help="worker processes for evaluation")
+        _add_no_gate(p)
 
     p = sub.add_parser("summarize", help="aggregate results CSVs per grid cell")
     p.add_argument("csv", nargs="+", help="results CSV paths")
@@ -78,12 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args):
     from .harness import config_load
     cfg = config_load(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.master_seed = args.seed
     if getattr(args, "no_gate", False):
         cfg.gate = False
-    if getattr(args, "optimizer", None):
-        cfg.optimizer = args.optimizer
     return cfg
 
 
@@ -122,32 +119,15 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_calibrate(args) -> int:
-    from .adaptation import calibrate_threshold
-    from .harness import build_task, stage_decoder
-    from .inference import decoder_save
-    cfg = _load_config(args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dec, holdout, dec_path = stage_decoder(cfg, out, task=build_task(cfg))
-    if holdout is None:
-        print("decoder bundle has no holdout records; retrain first", file=sys.stderr)
-        return EXIT_CONFIG
-    tau = calibrate_threshold(dec, holdout, alpha=cfg.alpha)
-    decoder_save(dec, dec_path, holdout)
-    print(f"threshold: {tau} (alpha={cfg.alpha}, {holdout.summaries.shape[0]} records)")
-    return EXIT_OK
-
-
 def _cmd_adapt(args) -> int:
     from .adaptation import adapt
     from .inference import decoder_load
     dec, _holdout = decoder_load(args.model)
     observed = _load_observed(args.data)
-    result = adapt(dec, observed, optimizer=args.optimizer, gate=not args.no_gate)
+    result = adapt(dec, observed, gate=not args.no_gate)
     payload = {
-        "s_initial": encode_floats(result.s_initial),
-        "s_star": encode_floats(result.s_star),
+        "s_initial": result.s_initial.tolist(),
+        "s_star": result.s_star.tolist(),
         "objective_initial": result.objective_initial,
         "objective_final": result.objective_final,
         "detected": result.detected,
@@ -205,10 +185,9 @@ def _cmd_verify(args) -> int:
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "train": _cmd_train,
-    "calibrate": _cmd_calibrate,
     "adapt": _cmd_adapt,
     "evaluate": _cmd_evaluate,
-    "bench": _cmd_evaluate,  # bench = evaluate with cold caches
+    "bench": _cmd_evaluate,
     "summarize": _cmd_summarize,
     "verify": _cmd_verify,
 }

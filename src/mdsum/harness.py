@@ -48,7 +48,6 @@ CSV_HEADER = ("task,method,eps,delta,seed,rmse,coverage,posterior_mmd,"
 _TASKS = ("gaussian", "factor", "oup", "sir")
 _METHODS = ("npe_plain", "npe_mds")
 _ENGINES = ("", "analytic", "mdn")
-_OPTIMIZERS = ("lbfgs", "gd")
 _DEFAULT_N_TRAIN = {"gaussian": 50_000, "factor": 50_000, "oup": 10_000, "sir": 10_000}
 _DEFAULT_HORIZON = {"oup": 25, "sir": 365}
 
@@ -77,7 +76,6 @@ class ExperimentConfig:
     n_posterior_samples: int = 1000
     n_predictive: int = 200
     coverage_alpha: float = 0.05
-    optimizer: str = "lbfgs"
     master_seed: int = 0
     record_timing: bool = False
 
@@ -105,8 +103,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ValueError("the analytic engine is only available for the gaussian task")
     if cfg.engine == "":
         cfg.engine = "analytic" if cfg.task == "gaussian" else "mdn"
-    if cfg.optimizer not in _OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r} (expected one of {_OPTIMIZERS})")
     if not cfg.methods:
         raise ValueError("methods must not be empty")
     for m in cfg.methods:
@@ -317,7 +313,7 @@ def _eval_item(item):
         if method == "npe_plain":
             s_query = s_tilde
         else:
-            result = adapt(dec, observed, optimizer=cfg.optimizer, gate=cfg.gate)
+            result = adapt(dec, observed, gate=cfg.gate)
             s_query = result.s_star
         samples = posterior_sample(engine, s_query, cfg.n_posterior_samples,
                                    derive_rng(seed, "posterior", cell_idx, j, method))

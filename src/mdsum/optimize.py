@@ -1,13 +1,12 @@
-"""Deterministic minimizers for smooth low-dimensional objectives.
+"""Deterministic minimizer for smooth low-dimensional objectives.
 
-lbfgs_minimize is the default: limited-memory BFGS (two-loop recursion)
-with a strong-Wolfe line search using quadratic/cubic interpolation. If the
-line search cannot find an acceptable point it falls back to a backtracking
-steepest-descent step, and gives up only when that also fails. Accepted
-steps never increase the objective.
-
-gd_minimize is a plain fixed-step gradient loop kept around as the simple
-alternative; it guards against divergence by tracking the best iterate.
+lbfgs_minimize is limited-memory BFGS (two-loop recursion; Liu & Nocedal
+1989) with a strong-Wolfe line search using quadratic/cubic interpolation.
+If the line search cannot find an acceptable point it falls back to a
+backtracking steepest-descent step, and gives up only when that also
+fails. Accepted steps never increase the objective. It is the one
+query-time optimizer: the adaptation objective is smooth with an exact
+gradient.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ class OptimOptions:
     history_size: int = 10
     c1: float = 1e-4
     c2: float = 0.9
-    step_size: float = 0.05  # gd only
     max_line_evals: int = 60
 
 
@@ -47,8 +45,6 @@ def _validate(opts: OptimOptions) -> None:
         raise ValueError(f"history_size must be positive, got {opts.history_size}")
     if not (0.0 < opts.c1 < opts.c2 < 1.0):
         raise ValueError(f"need 0 < c1 < c2 < 1, got c1={opts.c1}, c2={opts.c2}")
-    if not (opts.step_size > 0.0):
-        raise ValueError(f"step_size must be positive, got {opts.step_size}")
 
 
 def _quad_min(a, fa, dfa, b, fb):
@@ -279,41 +275,3 @@ def lbfgs_minimize(objective: Objective, x0, opts: OptimOptions | None = None):
         if np.max(np.abs(fe.gradient)) <= opts.grad_tol:
             return x, it, True
     return x, opts.max_iters, False
-
-
-def gd_minimize(objective: Objective, x0, opts: OptimOptions | None = None):
-    """Fixed-step gradient descent with a divergence guard.
-
-    Stops early when the gradient infinity norm reaches grad_tol. If the
-    value increases on 5 consecutive steps, returns the best iterate seen
-    with converged=False.
-    """
-    if opts is None:
-        opts = OptimOptions()
-    _validate(opts)
-    x = np.array(x0, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"x0 must be a vector, got shape {x.shape}")
-    fe = objective(x)
-    if not np.isfinite(fe.value) or not np.all(np.isfinite(fe.gradient)):
-        return x, 0, False
-    best_x, best_f = x.copy(), fe.value
-    increases = 0
-    for it in range(1, opts.max_iters + 1):
-        if np.max(np.abs(fe.gradient)) <= opts.grad_tol:
-            return x, it - 1, True
-        x = x - opts.step_size * fe.gradient
-        prev_value = fe.value
-        fe = objective(x)
-        if not np.isfinite(fe.value) or not np.all(np.isfinite(fe.gradient)):
-            return best_x, it, False
-        if fe.value > prev_value:
-            increases += 1
-            if increases >= 5:
-                return best_x, it, False
-        else:
-            increases = 0
-        if fe.value < best_f:
-            best_x, best_f = x.copy(), fe.value
-    converged = bool(np.max(np.abs(fe.gradient)) <= opts.grad_tol)
-    return x, opts.max_iters, converged

@@ -289,7 +289,7 @@ def test_criterion_06_gaussian_robustness_direction():
         phi = lambda s: float(np.sum(
             (closed_form_embedding(dec.feature_map, s, cfg.n_obs) - zbar) ** 2))
         s_exact = minimize(phi, task.summary(observed), method="BFGS").x
-        s_star = adapt(dec, observed, optimizer=cfg.optimizer, gate=cfg.gate).s_star
+        s_star = adapt(dec, observed, gate=cfg.gate).s_star
         worst = max(worst, float(np.linalg.norm(s_star - s_exact)))
     crit.check(f"adapted summary within {worst:.4g} <= {tol:.4g} of the exact "
                f"objective's minimiser on all flagged datasets", worst <= tol)

@@ -1,11 +1,14 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from mdsum.adaptation import adapt
 from mdsum.cli import EXIT_CONFIG, EXIT_OK, main
 from mdsum.harness import config_from_dict, config_hash
-from mdsum.util import decode_floats, derive_rng
+from mdsum.inference import decoder_load
+from mdsum.util import derive_rng
 
 TINY = {
     "task": "gaussian",
@@ -48,7 +51,7 @@ def test_bench_produces_results(bench_run, config_path):
 
 def test_stagewise_commands_reuse_caches(bench_run, config_path, capsys):
     # every stage artifact already exists, so each command is a fast no-op
-    for cmd in ("simulate", "train", "calibrate", "evaluate"):
+    for cmd in ("simulate", "train", "evaluate"):
         code = main([cmd, "--config", str(config_path), "--out-dir", str(bench_run)])
         assert code == EXIT_OK, cmd
     out = capsys.readouterr().out
@@ -81,7 +84,7 @@ def test_adapt_subcommand_writes_result_json(bench_run, tmp_path, capsys):
                  "--out", str(out_path)])
     assert code == EXIT_OK
     payload = json.loads(out_path.read_text())
-    s0 = decode_floats(payload["s_initial"])
+    s0 = np.array(payload["s_initial"])
     assert s0.shape == (2,)
     assert np.allclose(s0, data.mean(axis=0), atol=1e-12)
     assert isinstance(payload["detected"], bool)
@@ -105,7 +108,9 @@ def test_adapt_reads_npy_and_npz(bench_run, tmp_path, capsys):
     npz_out = capsys.readouterr().out
     assert npz_out == npy_out  # same rows whatever the container
     payload = json.loads(npz_out)
-    assert decode_floats(payload["s_initial"]).shape == (2,)
+    # plain JSON floats round-trip: the printed s_star is adapt's, bit for bit
+    dec, _holdout = decoder_load(model)
+    assert np.array_equal(np.array(payload["s_star"]), adapt(dec, data).s_star)
 
 
 def test_adapt_wrongly_shaped_data_exits_2(bench_run, tmp_path, capsys):
@@ -120,9 +125,38 @@ def test_adapt_wrongly_shaped_data_exits_2(bench_run, tmp_path, capsys):
         assert "observations must have shape" in capsys.readouterr().err
 
 
-def test_verify_subcommand(bench_run, config_path, tmp_path, capsys):
-    import shutil
+@pytest.mark.parametrize("cmd", ["simulate", "train"])
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--no-gate"], ["--optimizer", "lbfgs"]])
+def test_stage_commands_reject_evaluation_flags(config_path, tmp_path, capsys, cmd, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--config", str(config_path), "--out-dir", str(tmp_path), *flag])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
+
+def test_calibrate_is_not_a_subcommand(config_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--config", str(config_path), "--out-dir", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'calibrate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["evaluate", "bench"])
+def test_evaluate_and_bench_take_jobs_and_no_gate(bench_run, config_path, tmp_path, capsys,
+                                                  cmd):
+    # a copy of the cached models serves both; --no-gate changes the config
+    # hash, so this evaluates the grid once more, in two worker processes
+    out = tmp_path / "run"
+    shutil.copytree(bench_run, out)
+    code = main([cmd, "--config", str(config_path), "--out-dir", str(out),
+                 "--jobs", "2", "--no-gate"])
+    assert code == EXIT_OK
+    key = config_hash(config_from_dict({**TINY, "gate": False}))[:16]
+    assert f"results-{key}.csv" in capsys.readouterr().out
+
+
+def test_verify_subcommand(bench_run, config_path, tmp_path, capsys):
     fdir = tmp_path / "fixtures" / "tiny"
     fdir.mkdir(parents=True)
     shutil.copyfile(config_path, fdir / "config.json")

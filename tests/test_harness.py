@@ -82,13 +82,17 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         config_from_dict({"task": "gaussian", "n_test_datasets": 0})
     with pytest.raises(ValueError):
-        config_from_dict({"task": "gaussian", "optimizer": "adam"})
-    with pytest.raises(ValueError):
         config_from_dict({"task": "gaussian", "contamination": []})
     with pytest.raises(ValueError):
         config_from_dict({"task": "gaussian", "contamination": [{"eps": 2.0}]})
     with pytest.raises(ValueError):
         config_from_dict([1, 2, 3])
+
+
+def test_config_has_no_optimizer_key():
+    # L-BFGS is the one query-time optimizer; the removed key is an error
+    with pytest.raises(ValueError, match="unknown config keys: optimizer"):
+        config_from_dict({"task": "gaussian", "optimizer": "lbfgs"})
 
 
 def test_config_load_json_and_yaml(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdsum.optimize import ObjectiveEval, OptimOptions, gd_minimize, lbfgs_minimize
+from mdsum.optimize import ObjectiveEval, OptimOptions, lbfgs_minimize
 from mdsum.util import derive_rng
 
 
@@ -160,45 +160,3 @@ def test_optim_options_validation():
         lbfgs_minimize(quadratic([0.0]), np.zeros(1), OptimOptions(c1=0.5, c2=0.3))
     with pytest.raises(ValueError):
         lbfgs_minimize(quadratic([0.0]), np.zeros(1), OptimOptions(max_iters=0))
-
-
-# ---------------------------------------------------------------------------
-# gradient descent
-# ---------------------------------------------------------------------------
-
-def test_gd_exact_one_step():
-    # f(x) = x^2 with step 0.5: x1 = x0 - 0.5 * 2 x0 = 0
-    opts = OptimOptions(step_size=0.5, grad_tol=1e-12)
-    x, iters, converged = gd_minimize(quadratic([0.0]), np.array([7.0]), opts)
-    assert converged and x[0] == 0.0 and iters <= 2
-
-
-def test_gd_divergence_guard():
-    # |1 - 2*eta| > 1 diverges; guard must hand back the best iterate
-    opts = OptimOptions(step_size=1.1, max_iters=100)
-    x, iters, converged = gd_minimize(quadratic([0.0]), np.array([1.0]), opts)
-    assert not converged
-    assert abs(x[0]) <= 1.0  # best-so-far, never worse than the start
-
-
-def test_gd_zero_gradient_start():
-    x, iters, converged = gd_minimize(quadratic([2.0]), np.array([2.0]),
-                                      OptimOptions(step_size=0.1))
-    assert converged and iters == 0
-
-
-def test_gd_agrees_with_lbfgs_on_quadratics():
-    rng = derive_rng(33, "gd")
-    c = rng.standard_normal(3)
-    obj = quadratic(c, scale=0.8)
-    opts = OptimOptions(step_size=0.3, max_iters=2000, grad_tol=1e-9)
-    x_gd, _, conv_gd = gd_minimize(obj, np.zeros(3), opts)
-    x_lb, _, conv_lb = lbfgs_minimize(obj, np.zeros(3), OptimOptions(grad_tol=1e-9))
-    assert conv_gd and conv_lb
-    assert np.allclose(x_gd, x_lb, atol=1e-8)
-
-
-def test_gd_max_iters_without_convergence():
-    opts = OptimOptions(step_size=1e-4, max_iters=10, grad_tol=1e-12)
-    x, iters, converged = gd_minimize(quadratic([5.0]), np.zeros(1), opts)
-    assert iters == 10 and not converged

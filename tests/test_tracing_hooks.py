@@ -2,7 +2,9 @@
 
 perfbench/tracing.py wraps mdsum functions at the module attributes they
 are looked up by, so a src change that drops or renames one of them breaks
-every traced benchmark run with AttributeError. perfbench/workloads.py
+every traced benchmark run with AttributeError, and one that changes the
+optimizer's (x, iterations, converged) result breaks its iteration count.
+perfbench/workloads.py
 reads the saved decoder file with its own parser, so a change to the file
 format breaks every oup-serve run. Both run in a fresh interpreter: install
 patches the package for the life of the process.
@@ -22,11 +24,22 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import sys
-sys.path[:0] = [sys.argv[1], sys.argv[2]]
+sys.path[:0] = [sys.argv[1], sys.argv[2], sys.argv[3]]
+import numpy as np
 import tracing
-tracing.install(tracing.Tracer())
+tr = tracing.Tracer()
+tracing.install(tr)
+import mdsum.adaptation
 import mdsum.nn
+from helpers import fixed_decoder
 assert mdsum.nn.forward_batch.__wrapped__ is not None
+dec, _holdout = fixed_decoder()
+data = np.random.default_rng(5).standard_normal((20, 2))
+mdsum.adaptation.adapt(dec, data, gate=False)
+spans = [i for i, name in enumerate(tr.names) if name == "optimize.lbfgs_minimize"]
+assert len(spans) == 1, tr.names
+assert type(tr.attrs[spans[0]]["iterations"]) is int, tr.attrs[spans[0]]
+assert "inference.objective" in tr.names, tr.names
 """
 
 
@@ -52,7 +65,9 @@ def _run(script, *args):
 
 
 def test_perfbench_tracer_installs_on_the_package():
-    _run(SCRIPT)
+    # one traced adapt call: perfbench wraps adaptation.lbfgs_minimize and
+    # reads the iteration count from the second item of its result
+    _run(SCRIPT, str(ROOT / "tests"))
 
 
 def test_perfbench_reads_the_saved_decoder(tmp_path):
