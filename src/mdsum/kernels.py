@@ -23,6 +23,10 @@ BANDWIDTH_FLOOR = 1e-8
 # bytes of pair differences median_heuristic's sampled path gathers at a
 # time, which bounds its temporaries whatever the row width
 GATHER_BYTES = 1 << 24
+# pair-code count up to which _sample_distinct_pairs de-duplicates with a
+# one-byte-per-code mask (64 MiB, about 11 600 rows); above it, a mask is
+# too large, and a sorted array of the codes drawn so far takes its place
+MASK_BYTES = 1 << 26
 
 
 @dataclass
@@ -45,13 +49,29 @@ def _sample_distinct_pairs(n_rows: int, n_pairs: int, rng: np.random.Generator):
     total = n_rows * (n_rows - 1) // 2
     if n_pairs > total:
         raise ValueError(f"cannot draw {n_pairs} distinct pairs from {total}")
-    seen: set = set()
-    # rejection is cheap because n_pairs << total whenever this path is taken
-    while len(seen) < n_pairs:
-        draw = rng.integers(0, total, size=n_pairs - len(seen))
-        seen.update(draw.tolist())
-    codes = np.fromiter(seen, dtype=np.int64, count=n_pairs)
-    codes.sort()
+    # each round draws as many pair codes as are still missing and keeps the
+    # new ones; when n_pairs is a large share of total (half of all pairs at
+    # 2000 rows and 1M pairs) this takes many rounds
+    if total <= MASK_BYTES:
+        seen = np.zeros(total, dtype=bool)
+        count = 0
+        while count < n_pairs:
+            seen[rng.integers(0, total, size=n_pairs - count)] = True
+            count = int(np.count_nonzero(seen))
+        codes = np.flatnonzero(seen)
+    else:
+        codes = np.empty(0, dtype=np.int64)  # sorted and distinct
+        while codes.size < n_pairs:
+            draw = rng.integers(0, total, size=n_pairs - codes.size)
+            draw.sort()
+            draw = draw[np.r_[True, draw[1:] != draw[:-1]]]
+            if codes.size == 0:  # the first and largest round needs no merge
+                codes = draw
+                continue
+            # one np.insert of the codes not yet held keeps codes sorted
+            pos = np.searchsorted(codes, draw)
+            fresh = codes[np.minimum(pos, codes.size - 1)] != draw
+            codes = np.insert(codes, pos[fresh], draw[fresh])
     # decode pair rank to (i, j), i < j, pairs ordered (0,1),(0,2),...,(1,2),...
     i = np.floor((2 * n_rows - 1 - np.sqrt((2 * n_rows - 1) ** 2 - 8 * codes)) / 2).astype(np.int64)
     # sqrt roundoff can land one row off for large n_rows; nudge back exactly
@@ -71,6 +91,7 @@ def median_heuristic(data, max_pairs: int = 1_000_000, rng: np.random.Generator 
     (defaults to a fixed stream so results are reproducible regardless).
     """
     x = as_2d_f64("data", data)
+    check_finite("data", x)
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"median heuristic needs at least 2 rows, got {n}")

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mdsum import kernels
 from mdsum.kernels import (BANDWIDTH_FLOOR, GATHER_BYTES, FeatureMap, _sample_distinct_pairs,
                            build_feature_map, feature_map_from_payload, feature_map_to_payload,
                            mean_embedding, median_heuristic, mmd2_exact, mmd2_rff, rff_matrix)
-from mdsum.util import derive_rng
+from mdsum.util import NumericalError, derive_rng
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,70 @@ def test_sample_distinct_pairs_is_exact():
         assert len(set(ranks.tolist())) == k
     with pytest.raises(ValueError):
         _sample_distinct_pairs(3, 4, derive_rng(0))
+
+
+def _set_sampler(n_rows, n_pairs, rng):
+    # reference: rejection sampling into a Python set, which
+    # _sample_distinct_pairs must match draw for draw; returns the decoded
+    # codes and the number of rounds taken
+    total = n_rows * (n_rows - 1) // 2
+    seen, rounds = set(), 0
+    while len(seen) < n_pairs:
+        seen.update(rng.integers(0, total, size=n_pairs - len(seen)).tolist())
+        rounds += 1
+    codes = np.array(sorted(seen), dtype=np.int64)
+    # row i's pairs start at code starts[i], in integers throughout
+    starts = np.r_[0, np.cumsum(np.arange(n_rows - 1, 0, -1))]
+    i = np.searchsorted(starts, codes, side="right") - 1
+    j = codes - starts[i] + i + 1
+    return i, j, rounds
+
+
+@pytest.mark.parametrize("mask_bytes", [None, 0])
+def test_sample_distinct_pairs_draws_as_the_set_sampler(mask_bytes, monkeypatch):
+    # mask_bytes 0 sends the same sizes down the sorted-insert path
+    if mask_bytes is not None:
+        monkeypatch.setattr(kernels, "MASK_BYTES", mask_bytes)
+    for n, k in ((30, 434), (200, 15_000), (700, 200_000)):
+        ref_rng, rng = derive_rng(9, "pairs", n), derive_rng(9, "pairs", n)
+        ref_i, ref_j, rounds = _set_sampler(n, k, ref_rng)
+        i, j = _sample_distinct_pairs(n, k, rng)
+        assert rounds >= 3
+        assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+        # same draws, sizes and order: both streams end in the same state
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
+def test_sample_distinct_pairs_sparse_draws_as_the_set_sampler():
+    n, k = 12_000, 1000
+    assert n * (n - 1) // 2 > kernels.MASK_BYTES
+    ref_i, ref_j, _ = _set_sampler(n, k, derive_rng(10, "pairs"))
+    i, j = _sample_distinct_pairs(n, k, derive_rng(10, "pairs"))
+    assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+
+
+@pytest.mark.parametrize("n_rows", [2000, 100_000])  # mask, sorted insert
+def test_sample_distinct_pairs_memory_is_bounded(n_rows):
+    n_pairs = 1_000_000
+    tracemalloc.start()
+    try:
+        _sample_distinct_pairs(n_rows, n_pairs, derive_rng(11, "pairs"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # six int64 arrays of n_pairs; the set-based sampler peaked at 98.6 MB
+    assert peak < 6 * 8 * n_pairs
+
+
+def test_median_rejects_non_finite_rows():
+    x = derive_rng(12, "median").standard_normal((50, 2))  # exact path
+    x[7, 1] = np.nan
+    with pytest.raises(NumericalError):
+        median_heuristic(x)
+    x = derive_rng(13, "median").standard_normal((2000, 2))  # sampled path
+    x[1234] = np.inf
+    with pytest.raises(NumericalError):
+        median_heuristic(x)
 
 
 # ---------------------------------------------------------------------------
