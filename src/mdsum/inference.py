@@ -8,12 +8,13 @@ task or a trained mixture density network.
 
 Each model has one payload description (``*_to_payload``): JSON values
 plus raw float64 arrays. Saved files swap every array for its bit-exact
-hex+repr encoding (``util.encode_floats``), and ``*_from_payload`` reads
-either form. ``decoder_hash`` and ``engine_hash`` are sha256 over the
-payload's JSON skeleton, with arrays replaced by their shapes, followed by
-each array's little-endian float64 bytes in sorted-key order
-(``util.payload_hash``). They certify that test-time adaptation never
-touches the frozen models without rendering a single float to text.
+hex encoding (``util.encode_floats``), written with one ``json.dumps``,
+and ``*_from_payload`` reads either form. ``decoder_hash`` and
+``engine_hash`` are sha256 over the payload's JSON skeleton, with arrays
+replaced by their shapes, followed by each array's little-endian float64
+bytes in sorted-key order (``util.payload_hash``). They certify that
+test-time adaptation never touches the frozen models without rendering a
+single float to text.
 """
 
 from __future__ import annotations
@@ -367,7 +368,7 @@ def decoder_from_payload(payload: dict):
 
 def decoder_save(dec: DecoderEmbedding, path, holdout: HoldoutRecords | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(map_arrays(decoder_to_payload(dec, holdout), encode_floats), fh)
+        fh.write(json.dumps(map_arrays(decoder_to_payload(dec, holdout), encode_floats)))
 
 
 def decoder_load(path):
@@ -421,7 +422,7 @@ def engine_from_payload(payload: dict) -> PosteriorEngine:
 
 def engine_save(engine: PosteriorEngine, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(map_arrays(engine_to_payload(engine), encode_floats), fh)
+        fh.write(json.dumps(map_arrays(engine_to_payload(engine), encode_floats)))
 
 
 def engine_load(path) -> PosteriorEngine:

@@ -72,14 +72,13 @@ def _sample_distinct_pairs(n_rows: int, n_pairs: int, rng: np.random.Generator):
             pos = np.searchsorted(codes, draw)
             fresh = codes[np.minimum(pos, codes.size - 1)] != draw
             codes = np.insert(codes, pos[fresh], draw[fresh])
-    # decode pair rank to (i, j), i < j, pairs ordered (0,1),(0,2),...,(1,2),...
-    i = np.floor((2 * n_rows - 1 - np.sqrt((2 * n_rows - 1) ** 2 - 8 * codes)) / 2).astype(np.int64)
-    # sqrt roundoff can land one row off for large n_rows; nudge back exactly
-    def offset(k):
-        return k * (2 * n_rows - k - 1) // 2
-    i = np.where(offset(i + 1) <= codes, i + 1, i)
-    i = np.where(offset(i) > codes, i - 1, i)
-    j = codes - offset(i) + i + 1
+    # decode pair rank to (i, j), i < j, pairs ordered (0,1),(0,2),...,(1,2),...;
+    # row k's codes start at starts[k], and codes is sorted, so row k repeats
+    # once per code between starts[k] and starts[k + 1]
+    k = np.arange(n_rows, dtype=np.int64)
+    starts = k * (2 * n_rows - k - 1) // 2
+    i = np.repeat(k, np.diff(np.searchsorted(codes, starts), append=codes.size))
+    j = codes - starts[i] + i + 1
     return i, j
 
 

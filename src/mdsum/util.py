@@ -38,25 +38,20 @@ def derive_rng(master_seed: int, *tags) -> np.random.Generator:
 
 
 def encode_floats(arr: np.ndarray) -> dict:
-    """Encode a float64 array value-exactly.
-
-    The hex field carries the authoritative bit-exact values; the dec field
-    is a human-readable mirror (Python reprs, which also round-trip).
-    """
+    """Encode a float64 array value-exactly, as its shape and the
+    ``float.hex`` string of each value in C order."""
     a = np.asarray(arr, dtype=np.float64)
-    flat = a.reshape(-1)
-    if not np.all(np.isfinite(flat)):
+    if not np.all(np.isfinite(a)):
         raise NumericalError("refusing to serialize non-finite values")
-    return {
-        "shape": list(a.shape),
-        "hex": [v.hex() for v in flat.tolist()],
-        "dec": [repr(v) for v in flat.tolist()],
-    }
+    return {"shape": list(a.shape), "hex": list(map(float.hex, a.reshape(-1).tolist()))}
 
 
 def decode_floats(payload: dict) -> np.ndarray:
+    """The array of an encode_floats dict; other keys (such as the ``dec``
+    mirror of older files) are ignored, and non-finite values raise."""
     hexes = payload["hex"]
     vals = np.fromiter(map(float.fromhex, hexes), np.float64, count=len(hexes))
+    check_finite("decoded array", vals)
     return vals.reshape(tuple(payload["shape"]))
 
 

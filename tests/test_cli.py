@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mdsum.adaptation import adapt
-from mdsum.cli import EXIT_CONFIG, EXIT_OK, main
+from mdsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from mdsum.harness import config_from_dict, config_hash
 from mdsum.inference import decoder_load
 from mdsum.util import derive_rng
@@ -123,6 +123,20 @@ def test_adapt_wrongly_shaped_data_exits_2(bench_run, tmp_path, capsys):
         np.save(path, rng.standard_normal(shape))
         assert main(["adapt", "--model", str(model), "--data", str(path)]) == EXIT_CONFIG
         assert "observations must have shape" in capsys.readouterr().err
+
+
+def test_adapt_on_a_non_finite_model_exits_3(bench_run, tmp_path, capsys):
+    key = config_hash(config_from_dict(dict(TINY)))[:16]
+    manifest = json.loads((bench_run / f"manifest-{key}.json").read_text())
+    saved = json.loads((bench_run / manifest["artifacts"]["decoder"]).read_text())
+    saved["threshold"]["hex"][0] = "nan"  # would make every statistic "not flagged"
+    saved["regressor"]["biases"][0]["hex"][0] = "inf"
+    model = tmp_path / "decoder.json"
+    model.write_text(json.dumps(saved), encoding="utf-8")
+    path = tmp_path / "obs.npy"
+    np.save(path, derive_rng(70, "shifted").standard_normal((12, 2)) + 50.0)
+    assert main(["adapt", "--model", str(model), "--data", str(path)]) == EXIT_NUMERICAL
+    assert "non-finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["simulate", "train"])

@@ -36,7 +36,7 @@ from mdsum.inference import (
 from mdsum.kernels import build_feature_map, mean_embedding, median_heuristic
 from mdsum.nn import TrainOptions, forward_batch, mlp_forward, mlp_init
 from mdsum.simulators import build_training_pool, gaussian_task
-from mdsum.util import NumericalError, derive_rng, encode_floats
+from mdsum.util import NumericalError, derive_rng, encode_floats, map_arrays
 
 
 def small_pool(m=1500, n_obs=20, seed=11):
@@ -512,6 +512,72 @@ def _old_mlp_payload(mlp):
     return {"kind": "mlp", "layer_dims": list(mlp.layer_dims), "activation": mlp.activation,
             "weights": [encode_floats(w) for w in mlp.weights],
             "biases": [encode_floats(b) for b in mlp.biases]}
+
+
+def _with_dec_mirror(obj):
+    """A saved payload in the older format, whose arrays also carried a
+    ``dec`` list of the values' reprs after their ``hex`` list."""
+    if isinstance(obj, dict):
+        if "hex" in obj:
+            return {**obj, "dec": [repr(float.fromhex(h)) for h in obj["hex"]]}
+        return {k: _with_dec_mirror(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_with_dec_mirror(v) for v in obj]
+    return obj
+
+
+def _arrays_equal(a, b):
+    flat_a, flat_b = [], []
+    map_arrays(a, flat_a.append)
+    map_arrays(b, flat_b.append)
+    return len(flat_a) == len(flat_b) and all(
+        x.shape == y.shape and np.array_equal(x, y) for x, y in zip(flat_a, flat_b))
+
+
+def test_files_with_the_dec_mirror_still_load(tmp_path):
+    dec, holdout = fixed_decoder()
+    engine = make_mdn_engine(seed=23)
+    decoder_save(dec, tmp_path / "decoder.json", holdout)
+    engine_save(engine, tmp_path / "engine.json")
+    for name in ("decoder.json", "engine.json"):
+        saved = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+        old = _with_dec_mirror(saved)
+        assert old != saved and '"dec": ["' in json.dumps(old)
+        (tmp_path / f"old-{name}").write_text(json.dumps(old), encoding="utf-8")
+
+    dec_old, holdout_old = decoder_load(tmp_path / "old-decoder.json")
+    assert _arrays_equal(decoder_to_payload(dec_old, holdout_old),
+                         decoder_to_payload(dec, holdout))
+    assert decoder_hash(dec_old) == decoder_hash(dec)
+    engine_old = engine_load(tmp_path / "old-engine.json")
+    assert _arrays_equal(engine_to_payload(engine_old), engine_to_payload(engine))
+    assert engine_hash(engine_old) == engine_hash(engine)
+
+
+def test_loads_refuse_non_finite_values(tmp_path):
+    dec, holdout = fixed_decoder()
+    decoder_save(dec, tmp_path / "decoder.json", holdout)
+    engine_save(make_mdn_engine(seed=23), tmp_path / "engine.json")
+    saved_dec = json.loads((tmp_path / "decoder.json").read_text(encoding="utf-8"))
+    saved_engine = json.loads((tmp_path / "engine.json").read_text(encoding="utf-8"))
+    bad_files = []
+    for bad in ("nan", "inf", "-inf"):
+        for edit in (lambda p: p["threshold"]["hex"],
+                     lambda p: p["regressor"]["biases"][0]["hex"],
+                     lambda p: p["holdout"]["embeddings"]["hex"]):
+            payload = copy.deepcopy(saved_dec)
+            edit(payload)[0] = bad
+            bad_files.append(("decoder", payload))
+        for edit in (lambda p: p["mlp"]["weights"][1]["hex"],
+                     lambda p: p["input_std"]["hex"]):
+            payload = copy.deepcopy(saved_engine)
+            edit(payload)[0] = bad
+            bad_files.append(("engine", payload))
+    for n, (kind, payload) in enumerate(bad_files):
+        path = tmp_path / f"bad-{n}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(NumericalError):
+            (decoder_load if kind == "decoder" else engine_load)(path)
 
 
 def test_saved_files_keep_the_nested_hex_format(tmp_path):

@@ -43,10 +43,16 @@ def test_encode_floats_refuses_non_finite():
         encode_floats(np.array([np.inf]))
 
 
-def test_encode_floats_dec_field_mirrors_hex():
-    arr = np.array([0.1, -2.5e17])
-    payload = encode_floats(arr)
-    assert [float(s) for s in payload["dec"]] == arr.tolist()
+def test_encode_floats_holds_only_shape_and_hex():
+    payload = encode_floats(np.array([[0.1, -2.5e17]]))
+    assert set(payload) == {"shape", "hex"}
+    assert payload == {"shape": [1, 2], "hex": [(0.1).hex(), (-2.5e17).hex()]}
+
+
+def test_decode_floats_refuses_non_finite():
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(NumericalError):
+            decode_floats({"shape": [2], "hex": [(1.0).hex(), bad]})
 
 
 def test_canonical_json_ignores_key_order():
