@@ -3,12 +3,15 @@
 Given a frozen decoder and an observed dataset, the pipeline is:
 
 1. check the observations' shape against the decoder's task, then compute
-   the observed summary s0 and the dataset's empirical mean embedding;
+   the observed summary s0 with the summary function of the decoder's own
+   task (``make_task(dec.task_name, **dec.task_params)``) and the dataset's
+   empirical mean embedding;
 2. detect: compare the statistic ||mu(s0) - mu_obs||^2 against a threshold
    calibrated on clean held-out simulations (the (1 - alpha) quantile of the
    same statistic);
-3. only if flagged, minimize ||mu(s) - mu_obs||^2 over s starting from s0;
-   the caller queries the posterior engine at the minimizer instead.
+3. only if flagged, minimize ||mu(s) - mu_obs||^2 over s starting from s0
+   with L-BFGS at its default options; the caller queries the posterior
+   engine at the minimizer instead.
 
 The statistic has one definition, ``_statistic``, used by calibration,
 detection and both ends of the adaptation.
@@ -28,7 +31,7 @@ import numpy as np
 
 from .inference import DecoderEmbedding, HoldoutRecords, decoder_embed, decoder_objective, standardize
 from .kernels import MeanEmbedding, mean_embedding
-from .optimize import OptimOptions, lbfgs_minimize
+from .optimize import lbfgs_minimize
 from .simulators import make_task
 from .util import check_finite
 
@@ -96,8 +99,7 @@ def _optimizer_start(dec: DecoderEmbedding, s0: np.ndarray) -> np.ndarray:
     return dec.summary_mean + dec.summary_std * u_clipped
 
 
-def minimize_embedding_distance(dec: DecoderEmbedding, target, s0,
-                                opts: OptimOptions | None = None):
+def minimize_embedding_distance(dec: DecoderEmbedding, target, s0):
     """Minimize ||mu(s) - target||^2 from s0 with L-BFGS.
 
     Returns (s, iterations, converged).
@@ -105,27 +107,24 @@ def minimize_embedding_distance(dec: DecoderEmbedding, target, s0,
     target = np.asarray(target, dtype=np.float64)
     s0 = np.asarray(s0, dtype=np.float64)
     objective = decoder_objective(dec, target)
-    return lbfgs_minimize(objective, _optimizer_start(dec, s0), opts)
+    return lbfgs_minimize(objective, _optimizer_start(dec, s0))
 
 
-def adapt(dec: DecoderEmbedding, observations, opts: OptimOptions | None = None,
-          gate: bool = True, summary_fn=None) -> AdaptationResult:
+def adapt(dec: DecoderEmbedding, observations, gate: bool = True) -> AdaptationResult:
     """Full query-side pipeline for one observed dataset.
 
     With the gate enabled (default), adaptation only runs when the detection
     statistic exceeds the calibrated threshold; otherwise the observed
     summary is returned untouched. With gate=False adaptation always runs
     (used by the consistency and stability checks). The summary function is
-    taken from the decoder's task metadata unless summary_fn is given.
-    Observations that are not 2-D, or whose width or row count differs from
-    the decoder's feature map and task, raise ValueError before the summary
-    is computed. Non-finite observations or summaries raise NumericalError,
-    so the gate never lets them through as not flagged.
+    that of the decoder's task, rebuilt from its metadata with make_task; a
+    decoder without a known task raises ValueError. Observations that are
+    not 2-D, or whose width or row count differs from the decoder's feature
+    map and task, raise ValueError before the summary is computed.
+    Non-finite observations or summaries raise NumericalError, so the gate
+    never lets them through as not flagged.
     """
-    if summary_fn is None:
-        if not dec.task_name:
-            raise ValueError("decoder has no task metadata; pass summary_fn")
-        summary_fn = make_task(dec.task_name, **dec.task_params).summary
+    summary_fn = make_task(dec.task_name, **dec.task_params).summary
     observations = np.asarray(observations, dtype=np.float64)
     n_obs, width = dec.task_params.get("n_obs"), dec.feature_map.dim
     if (observations.ndim != 2 or observations.shape[1] != width
@@ -148,7 +147,7 @@ def adapt(dec: DecoderEmbedding, observations, opts: OptimOptions | None = None,
             objective_final=statistic, detected=False, statistic=statistic,
             threshold=dec.threshold, iterations=0, converged=True)
 
-    s_star, iters, converged = minimize_embedding_distance(dec, obs_emb.values, s0, opts)
+    s_star, iters, converged = minimize_embedding_distance(dec, obs_emb.values, s0)
     final = _statistic(dec, s_star, obs_emb.values)
     if not np.all(np.isfinite(s_star)) or not (final < statistic):
         # safe fallback: keep the observed summary

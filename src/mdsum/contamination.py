@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulators import OUP_X0, TaskSpec, simulate_oup_trajectories
+from .simulators import TaskSpec, simulate_oup_trajectories
 from .util import as_2d_f64
 
 OUP_CONTAMINANT_THETA = (-0.5, 1.0)
@@ -72,9 +72,9 @@ def contaminate_gaussian(data, eps: float, delta: float, rng: np.random.Generato
     return x
 
 
-def contaminate_oup(data, eps: float, rng: np.random.Generator,
-                    theta_c=OUP_CONTAMINANT_THETA, sigma2_c: float = OUP_CONTAMINANT_SIGMA2) -> np.ndarray:
-    """Swap round(eps * N) trajectories for off-prior OU simulations."""
+def contaminate_oup(data, eps: float, rng: np.random.Generator) -> np.ndarray:
+    """Swap round(eps * N) trajectories for OU simulations at the off-prior
+    OUP_CONTAMINANT_THETA with noise variance OUP_CONTAMINANT_SIGMA2."""
     x = as_2d_f64("data", data).copy()
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
@@ -83,14 +83,13 @@ def contaminate_oup(data, eps: float, rng: np.random.Generator,
     if k == 0:
         return x
     idx = rng.choice(n, size=k, replace=False)
-    x[idx] = simulate_oup_trajectories(theta_c, k, horizon, rng,
-                                       x0=OUP_X0, sigma2=sigma2_c)
+    x[idx] = simulate_oup_trajectories(OUP_CONTAMINANT_THETA, k, horizon, rng,
+                                       sigma2=OUP_CONTAMINANT_SIGMA2)
     return x
 
 
-def contaminate_sir(data, eps: float, rng: np.random.Generator,
-                    fraction: float = WEEKEND_FRACTION) -> np.ndarray:
-    """Move `fraction` of weekend counts to the following Monday.
+def contaminate_sir(data, eps: float, rng: np.random.Generator) -> np.ndarray:
+    """Move WEEKEND_FRACTION of weekend counts to the following Monday.
 
     Applied to round(eps * N) randomly chosen trajectories. Day t is a
     Saturday when t % 7 == 5 and a Sunday when t % 7 == 6; weekends never
@@ -108,7 +107,7 @@ def contaminate_sir(data, eps: float, rng: np.random.Generator,
     days = np.arange(horizon)
     for t in days[(days % 7 == 5) | (days % 7 == 6)]:
         monday = t + (7 - t % 7)
-        moved = fraction * x[idx, t]
+        moved = WEEKEND_FRACTION * x[idx, t]
         x[idx, t] -= moved
         if monday < horizon:
             x[idx, monday] += moved

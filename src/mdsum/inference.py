@@ -9,7 +9,8 @@ task or a trained mixture density network.
 Each model has one payload description (``*_to_payload``): JSON values
 plus raw float64 arrays. Saved files swap every array for its bit-exact
 hex encoding (``util.encode_floats``), written with one ``json.dumps``,
-and ``*_from_payload`` reads either form. ``decoder_hash`` and
+and ``*_from_payload`` reads either form, checking every array's shape
+against the model's own dimensions. ``decoder_hash`` and
 ``engine_hash`` are sha256 over the payload's JSON skeleton, with arrays
 replaced by their shapes, followed by each array's little-endian float64
 bytes in sorted-key order (``util.payload_hash``). They certify that
@@ -28,12 +29,12 @@ from .kernels import FeatureMap, MeanEmbedding, feature_map_from_payload, featur
 from .nn import (Mlp, TrainOptions, TrainReport, fit_mlp, mlp_forward, mlp_from_payload,
                  mlp_init, mlp_to_payload, mlp_vjp)
 from .simulators import TrainingPool, gaussian_posterior
-from .util import as_float_array, encode_floats, map_arrays, payload_hash
+from .util import as_float_array, check_shape, encode_floats, map_arrays, payload_hash
 
 _CHUNK_ELEMS = 2 ** 24  # cap on rows * K per feature chunk, keeps peaks ~130 MB
 _STD_FLOOR = 1e-12
 
-DEFAULT_HIDDEN = (256, 256)
+HIDDEN = (256, 256)  # hidden widths of the decoder and MDN networks
 DEFAULT_CLIP_BAND = 8.0
 LOGSIG_LO = -7.0
 LOGSIG_HI = 3.0
@@ -95,8 +96,7 @@ def standardize(values: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.nda
 
 
 def train_decoder(pool: TrainingPool, fm: FeatureMap, rng: np.random.Generator,
-                  opts: TrainOptions | None = None, holdout_frac: float = 0.05,
-                  hidden=DEFAULT_HIDDEN):
+                  opts: TrainOptions | None = None, holdout_frac: float = 0.05):
     """Fit the summary -> mean-embedding regressor on a simulation pool.
 
     A holdout_frac slice of the pool is reserved before training and
@@ -120,7 +120,7 @@ def train_decoder(pool: TrainingPool, fm: FeatureMap, rng: np.random.Generator,
     mean = s_train.mean(axis=0)
     std = np.maximum(s_train.std(axis=0), _STD_FLOOR)
 
-    mlp = mlp_init([pool.summaries.shape[1], *hidden, fm.n_features], rng)
+    mlp = mlp_init([pool.summaries.shape[1], *HIDDEN, fm.n_features], rng)
     report = fit_mlp(mlp, standardize(s_train, mean, std), z_train, opts, rng)
 
     dec = DecoderEmbedding(feature_map=fm, regressor=mlp, summary_mean=mean,
@@ -216,7 +216,7 @@ def mdn_loss_grad_factory(n_components: int, theta_dim: int,
 
 
 def train_mdn(pool: TrainingPool, n_components: int, rng: np.random.Generator,
-              opts: TrainOptions | None = None, hidden=DEFAULT_HIDDEN):
+              opts: TrainOptions | None = None):
     """Fit a mixture density network q(theta | s) on a simulation pool.
 
     Component-mean output biases are seeded with parameter draws from the
@@ -235,7 +235,7 @@ def train_mdn(pool: TrainingPool, n_components: int, rng: np.random.Generator,
     inputs = standardize(pool.summaries, mean, std)
 
     out_dim = n_components * (1 + 2 * d)
-    mlp = mlp_init([pool.summaries.shape[1], *hidden, out_dim], rng)
+    mlp = mlp_init([pool.summaries.shape[1], *HIDDEN, out_dim], rng)
     anchors = thetas[rng.choice(thetas.shape[0], size=n_components, replace=False)]
     spread = np.log(np.maximum(thetas.std(axis=0), 1e-3))
     bias = mlp.biases[-1]
@@ -259,19 +259,6 @@ def mdn_parameters(engine: MdnEngine, s):
     return np.exp(logw[0]), means[0], sig[0]
 
 
-def mdn_log_prob(engine: MdnEngine, s, thetas) -> np.ndarray:
-    """log q(theta | s) for each row of thetas."""
-    w, means, sig = mdn_parameters(engine, s)
-    t = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    diff = t[:, None, :] - means[None, :, :]
-    comp = -0.5 * np.sum((diff / sig[None, :, :]) ** 2, axis=2) \
-        - np.sum(np.log(sig), axis=1)[None, :] \
-        - 0.5 * engine.theta_dim * np.log(2.0 * np.pi)
-    joint = np.log(w)[None, :] + comp
-    top = joint.max(axis=1, keepdims=True)
-    return top[:, 0] + np.log(np.exp(joint - top).sum(axis=1))
-
-
 def posterior_sample(engine: PosteriorEngine, s, n_samples: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Draw n_samples rows from q(theta | s)."""
@@ -288,34 +275,6 @@ def posterior_sample(engine: PosteriorEngine, s, n_samples: int,
         eps = rng.standard_normal((n_samples, engine.theta_dim))
         return means[comps] + sig[comps] * eps
     raise TypeError(f"unknown engine type {type(engine).__name__}")
-
-
-def posterior_moments(engine: PosteriorEngine, s):
-    """Mean and per-dimension variance of q(theta | s)."""
-    if isinstance(engine, AnalyticGaussianEngine):
-        mean, var = gaussian_posterior(np.asarray(s, dtype=np.float64), engine.n_obs)
-        return mean, np.full(engine.dim, var)
-    if isinstance(engine, MdnEngine):
-        w, means, sig = mdn_parameters(engine, s)
-        mean = w @ means
-        second = w @ (sig * sig + means * means)
-        return mean, second - mean * mean
-    raise TypeError(f"unknown engine type {type(engine).__name__}")
-
-
-def posterior_kl_analytic(engine_a: PosteriorEngine, engine_b: PosteriorEngine,
-                          s_a, s_b) -> float:
-    """Closed-form KL( q_a(. | s_a) || q_b(. | s_b) ) for analytic engines."""
-    if not (isinstance(engine_a, AnalyticGaussianEngine)
-            and isinstance(engine_b, AnalyticGaussianEngine)):
-        raise TypeError("closed-form KL requires analytic Gaussian engines")
-    if engine_a.dim != engine_b.dim:
-        raise ValueError(f"dimension mismatch: {engine_a.dim} vs {engine_b.dim}")
-    d = engine_a.dim
-    ma, va = gaussian_posterior(np.asarray(s_a, dtype=np.float64), engine_a.n_obs)
-    mb, vb = gaussian_posterior(np.asarray(s_b, dtype=np.float64), engine_b.n_obs)
-    dm = mb - ma
-    return float(0.5 * (d * va / vb + (dm @ dm) / vb - d + d * np.log(vb / va)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +298,35 @@ def decoder_to_payload(dec: DecoderEmbedding, holdout: HoldoutRecords | None = N
     return payload
 
 
+def _network_from_payload(payload: dict, out_dim: int, what: str) -> Mlp:
+    """mlp_from_payload, with the network's output width checked too."""
+    mlp = mlp_from_payload(payload)
+    if mlp.layer_dims[-1] != out_dim:
+        raise ValueError(f"{what} outputs {mlp.layer_dims[-1]} values, expected {out_dim}")
+    return mlp
+
+
+def _input_array(payload: dict, key: str, mlp: Mlp) -> np.ndarray:
+    """A per-input standardization array, checked against the input width."""
+    return check_shape(key, as_float_array(payload[key]), (mlp.layer_dims[0],))
+
+
 def decoder_from_payload(payload: dict):
     """Rebuild (decoder, holdout or None) from a payload or its saved form.
 
-    Every array is fresh (util.as_float_array), never aliasing the payload.
+    Every array is fresh (util.as_float_array), never aliasing the payload,
+    and its shape must agree with the model's dimensions (ValueError).
     """
     if payload.get("kind") != "decoder":
         raise ValueError(f"not a decoder payload: kind={payload.get('kind')!r}")
     threshold = payload["threshold"]
+    fm = feature_map_from_payload(payload["feature_map"])
+    regressor = _network_from_payload(payload["regressor"], fm.n_features, "regressor")
     dec = DecoderEmbedding(
-        feature_map=feature_map_from_payload(payload["feature_map"]),
-        regressor=mlp_from_payload(payload["regressor"]),
-        summary_mean=as_float_array(payload["summary_mean"]),
-        summary_std=as_float_array(payload["summary_std"]),
+        feature_map=fm,
+        regressor=regressor,
+        summary_mean=_input_array(payload, "summary_mean", regressor),
+        summary_std=_input_array(payload, "summary_std", regressor),
         threshold=None if threshold is None else float(as_float_array(threshold)[0]),
         task_name=payload["task"]["name"],
         task_params=dict(payload["task"]["params"]),
@@ -402,18 +377,21 @@ def engine_to_payload(engine: PosteriorEngine) -> dict:
 
 def engine_from_payload(payload: dict) -> PosteriorEngine:
     """Rebuild an engine from a payload or its saved form; every array is
-    fresh (util.as_float_array), never aliasing the payload."""
+    fresh (util.as_float_array), never aliasing the payload, and its shape
+    must agree with the engine's dimensions (ValueError)."""
     if payload.get("kind") != "engine":
         raise ValueError(f"not an engine payload: kind={payload.get('kind')!r}")
     if payload["variant"] == "analytic_gaussian":
         return AnalyticGaussianEngine(n_obs=int(payload["n_obs"]), dim=int(payload["dim"]))
     if payload["variant"] == "mdn":
+        n_components, theta_dim = int(payload["n_components"]), int(payload["theta_dim"])
+        mlp = _network_from_payload(payload["mlp"], n_components * (1 + 2 * theta_dim), "mdn")
         return MdnEngine(
-            mlp=mlp_from_payload(payload["mlp"]),
-            n_components=int(payload["n_components"]),
-            theta_dim=int(payload["theta_dim"]),
-            input_mean=as_float_array(payload["input_mean"]),
-            input_std=as_float_array(payload["input_std"]),
+            mlp=mlp,
+            n_components=n_components,
+            theta_dim=theta_dim,
+            input_mean=_input_array(payload, "input_mean", mlp),
+            input_std=_input_array(payload, "input_std", mlp),
             logsig_lo=float(payload["logsig_lo"]),
             logsig_hi=float(payload["logsig_hi"]),
         )

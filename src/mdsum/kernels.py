@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .util import as_2d_f64, as_float_array, check_finite
+from .util import as_2d_f64, as_float_array, check_finite, check_shape
 
 BANDWIDTH_FLOOR = 1e-8
 # bytes of pair differences median_heuristic's sampled path gathers at a
@@ -186,10 +186,12 @@ def feature_map_to_payload(fm: FeatureMap) -> dict:
 def feature_map_from_payload(payload: dict) -> FeatureMap:
     if payload.get("kind") != "feature_map":
         raise ValueError(f"not a feature map payload: kind={payload.get('kind')!r}")
+    dim, n_features = int(payload["dim"]), int(payload["n_features"])
     return FeatureMap(
-        dim=int(payload["dim"]),
-        n_features=int(payload["n_features"]),
+        dim=dim,
+        n_features=n_features,
         bandwidth=float(as_float_array(payload["bandwidth"])[0]),
-        frequencies=as_float_array(payload["frequencies"]),
-        phases=as_float_array(payload["phases"]),
+        frequencies=check_shape("frequencies", as_float_array(payload["frequencies"]),
+                                (n_features, dim)),
+        phases=check_shape("phases", as_float_array(payload["phases"]), (n_features,)),
     )

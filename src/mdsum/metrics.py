@@ -41,17 +41,18 @@ def coverage(samples, theta_star, alpha: float = 0.05) -> float:
     return float(np.mean((lo <= t) & (t <= hi)))
 
 
-def sample_mmd(samples_a, samples_b, max_pairs: int = 1_000_000) -> float:
+def sample_mmd(samples_a, samples_b) -> float:
     """MMD (square root of the biased estimate) between two sample sets.
 
-    The RBF bandwidth is the median heuristic on the pooled rows, so the
-    value is symmetric in its arguments.
+    The RBF bandwidth is the median heuristic on the pooled rows (sampled
+    over its default 1M pairs when there are more), so the value is
+    symmetric in its arguments.
     """
     a = as_2d_f64("samples_a", samples_a)
     b = as_2d_f64("samples_b", samples_b)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    bandwidth = median_heuristic(np.vstack([a, b]), max_pairs=max_pairs)
+    bandwidth = median_heuristic(np.vstack([a, b]))
     return float(np.sqrt(max(mmd2_exact(bandwidth, a, b), 0.0)))
 
 

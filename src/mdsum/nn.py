@@ -9,8 +9,10 @@ module is allowed to approximate.
 Weights for layer l have shape (fan_out, fan_in) and act on row batches as
 ``X @ W.T + b``. Every forward pass goes through ``forward_batch``;
 ``mlp_vjp`` reuses that one pass's activations for the input gradient, so a
-value-and-gradient query costs a single forward. Networks persist only as
-payloads inside the decoder and engine artifacts of ``inference``.
+value-and-gradient query costs a single forward. Adam's constants and the
+validation split are fixed (ADAM_*, VAL_FRACTION). Networks persist only as
+payloads inside the decoder and engine artifacts of ``inference``; a payload
+loads only if it names the activation "tanh" and matches its layer_dims.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .util import NumericalError, as_float_array
+from .util import NumericalError, as_float_array, check_shape
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+VAL_FRACTION = 0.10  # share of fit_mlp's rows held aside for early stopping
 
 
 @dataclass
@@ -28,7 +35,6 @@ class Mlp:
     layer_dims: tuple
     weights: list  # list of (fan_out, fan_in) float64 arrays
     biases: list  # list of (fan_out,) float64 arrays
-    activation: str = "tanh"
 
 
 @dataclass
@@ -40,9 +46,6 @@ class Gradients:
 @dataclass
 class AdamState:
     learning_rate: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m_weights: list = field(default_factory=list)
     v_weights: list = field(default_factory=list)
@@ -56,7 +59,6 @@ class TrainOptions:
     batch_size: int = 128
     max_epochs: int = 500
     patience: int = 20
-    val_fraction: float = 0.10
 
 
 @dataclass
@@ -67,10 +69,7 @@ class TrainReport:
     val_losses: list
 
 
-_ACTIVATIONS = {"tanh"}
-
-
-def mlp_init(layer_dims, rng: np.random.Generator, activation: str = "tanh") -> Mlp:
+def mlp_init(layer_dims, rng: np.random.Generator) -> Mlp:
     """Glorot-uniform weights, zero biases.
 
     The limit a = sqrt(6 / (fan_in + fan_out)) keeps tanh pre-activations
@@ -81,14 +80,12 @@ def mlp_init(layer_dims, rng: np.random.Generator, activation: str = "tanh") -> 
         raise ValueError(f"need at least input and output dims, got {dims}")
     if any(d <= 0 for d in dims):
         raise ValueError(f"all layer dims must be positive, got {dims}")
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return Mlp(layer_dims=dims, weights=weights, biases=biases, activation=activation)
+    return Mlp(layer_dims=dims, weights=weights, biases=biases)
 
 
 def forward_batch(mlp: Mlp, inputs: np.ndarray):
@@ -161,33 +158,11 @@ def mse_loss_grad(outputs: np.ndarray, targets: np.ndarray):
     return loss, (2.0 / outputs.shape[0]) * diff
 
 
-def mlp_backward(mlp: Mlp, inputs, targets):
-    """MSE loss and exact parameter gradients on a batch.
-
-    Returns (loss, Gradients). Loss is the batch mean of the squared
-    Euclidean error between network outputs and targets.
-    """
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"batch size mismatch: {x.shape[0]} inputs vs {y.shape[0]} targets")
-    if y.ndim != 2 or y.shape[1] != mlp.layer_dims[-1]:
-        raise ValueError(f"expected targets of shape (B, {mlp.layer_dims[-1]}), got {y.shape}")
-    outputs, acts = forward_batch(mlp, x)
-    loss, grad_out = mse_loss_grad(outputs, y)
-    if not np.isfinite(loss):
-        raise NumericalError("non-finite loss in mlp_backward")
-    return loss, backward_from_output_grad(mlp, acts, grad_out)
-
-
-def adam_init(mlp: Mlp, learning_rate: float = 5e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(mlp: Mlp, learning_rate: float = 5e-4) -> AdamState:
     if not (0.0 < learning_rate):
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
     return AdamState(
-        learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps, step=0,
+        learning_rate=learning_rate, step=0,
         m_weights=[np.zeros_like(w) for w in mlp.weights],
         v_weights=[np.zeros_like(w) for w in mlp.weights],
         m_biases=[np.zeros_like(b) for b in mlp.biases],
@@ -196,13 +171,13 @@ def adam_init(mlp: Mlp, learning_rate: float = 5e-4, beta1: float = 0.9,
 
 
 def _adam_update(p, g, m, v, state: AdamState, t: int):
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def adam_step(state: AdamState, mlp: Mlp, grads: Gradients):
@@ -228,7 +203,7 @@ def fit_mlp(mlp: Mlp, inputs, targets, opts: TrainOptions, rng: np.random.Genera
             loss_grad: Optional[Callable] = None) -> TrainReport:
     """Mini-batch Adam training with early stopping.
 
-    A val_fraction split is held aside; training stops when the validation
+    A VAL_FRACTION split is held aside; training stops when the validation
     loss has not improved for `patience` epochs (or at max_epochs), and the
     best-validation parameters are restored. loss_grad(outputs, targets)
     must return (scalar loss, d loss / d outputs); the default is MSE.
@@ -241,7 +216,7 @@ def fit_mlp(mlp: Mlp, inputs, targets, opts: TrainOptions, rng: np.random.Genera
     if loss_grad is None:
         loss_grad = mse_loss_grad
 
-    n_val = max(1, int(round(opts.val_fraction * n)))
+    n_val = max(1, int(round(VAL_FRACTION * n)))
     if n_val >= n:
         raise ValueError(f"validation split leaves no training rows (n={n})")
     perm = rng.permutation(n)
@@ -291,20 +266,27 @@ def mlp_to_payload(mlp: Mlp) -> dict:
     return {
         "kind": "mlp",
         "layer_dims": list(mlp.layer_dims),
-        "activation": mlp.activation,
+        "activation": "tanh",
         "weights": list(mlp.weights),
         "biases": list(mlp.biases),
     }
 
 
 def mlp_from_payload(payload: dict) -> Mlp:
+    """Rebuild a network, checking every array against layer_dims."""
     if payload.get("kind") != "mlp":
         raise ValueError(f"not an mlp payload: kind={payload.get('kind')!r}")
-    if payload["activation"] not in _ACTIVATIONS:
+    if payload["activation"] != "tanh":
         raise ValueError(f"unknown activation {payload['activation']!r}")
-    return Mlp(
-        layer_dims=tuple(payload["layer_dims"]),
-        weights=[as_float_array(w) for w in payload["weights"]],
-        biases=[as_float_array(b) for b in payload["biases"]],
-        activation=payload["activation"],
-    )
+    dims = tuple(payload["layer_dims"])
+    n_layers = len(dims) - 1
+    if len(payload["weights"]) != n_layers or len(payload["biases"]) != n_layers:
+        raise ValueError(f"layer_dims {dims} need {n_layers} weights and biases, got "
+                         f"{len(payload['weights'])} and {len(payload['biases'])}")
+    weights, biases = [], []
+    for l, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        weights.append(check_shape(f"weight {l}", as_float_array(payload["weights"][l]),
+                                   (fan_out, fan_in)))
+        biases.append(check_shape(f"bias {l}", as_float_array(payload["biases"][l]),
+                                  (fan_out,)))
+    return Mlp(layer_dims=dims, weights=weights, biases=biases)

@@ -6,7 +6,9 @@ If the line search cannot find an acceptable point it falls back to a
 backtracking steepest-descent step, and gives up only when that also
 fails. Accepted steps never increase the objective. It is the one
 query-time optimizer: the adaptation objective is smooth with an exact
-gradient.
+gradient. The memory (HISTORY_SIZE pairs), the Wolfe constants C1 and C2
+and the line-search budget (MAX_LINE_EVALS) are fixed; OptimOptions holds
+only the iteration cap and the gradient tolerance.
 """
 
 from __future__ import annotations
@@ -26,14 +28,16 @@ class ObjectiveEval:
 Objective = Callable[[np.ndarray], ObjectiveEval]
 
 
+HISTORY_SIZE = 10  # (s, y) pairs the two-loop recursion keeps
+C1 = 1e-4  # sufficient-decrease (Armijo) constant
+C2 = 0.9  # curvature constant of the strong Wolfe conditions
+MAX_LINE_EVALS = 60  # objective evaluations one line search may spend
+
+
 @dataclass
 class OptimOptions:
     max_iters: int = 100
     grad_tol: float = 1e-7
-    history_size: int = 10
-    c1: float = 1e-4
-    c2: float = 0.9
-    max_line_evals: int = 60
 
 
 def _validate(opts: OptimOptions) -> None:
@@ -41,10 +45,6 @@ def _validate(opts: OptimOptions) -> None:
         raise ValueError(f"max_iters must be positive, got {opts.max_iters}")
     if not (opts.grad_tol > 0.0):
         raise ValueError(f"grad_tol must be positive, got {opts.grad_tol}")
-    if opts.history_size < 1:
-        raise ValueError(f"history_size must be positive, got {opts.history_size}")
-    if not (0.0 < opts.c1 < opts.c2 < 1.0):
-        raise ValueError(f"need 0 < c1 < c2 < 1, got c1={opts.c1}, c2={opts.c2}")
 
 
 def _quad_min(a, fa, dfa, b, fb):
@@ -88,7 +88,7 @@ class _EvalBudget:
         return fe.value, float(fe.gradient @ self.d), fe
 
 
-def _zoom(budget, lo, phi_lo, dphi_lo, hi, phi_hi, dphi_hi, phi0, dphi0, c1, c2):
+def _zoom(budget, lo, phi_lo, dphi_lo, hi, phi_hi, dphi_hi, phi0, dphi0):
     """Strong-Wolfe zoom on a bracketing interval (Nocedal-Wright style)."""
     for j in range(30):
         width = hi - lo
@@ -112,10 +112,10 @@ def _zoom(budget, lo, phi_lo, dphi_lo, hi, phi_hi, dphi_hi, phi0, dphi0, c1, c2)
             # treat a non-finite probe as "too far" and shrink toward lo
             hi, phi_hi, dphi_hi = alpha, np.inf, 0.0
             continue
-        if phi > phi0 + c1 * alpha * dphi0 or phi >= phi_lo:
+        if phi > phi0 + C1 * alpha * dphi0 or phi >= phi_lo:
             hi, phi_hi, dphi_hi = alpha, phi, dphi
         else:
-            if abs(dphi) <= -c2 * dphi0:
+            if abs(dphi) <= -C2 * dphi0:
                 return alpha, fe
             if dphi * (hi - lo) >= 0.0:
                 hi, phi_hi, dphi_hi = lo, phi_lo, dphi_lo
@@ -125,7 +125,7 @@ def _zoom(budget, lo, phi_lo, dphi_lo, hi, phi_hi, dphi_hi, phi0, dphi0, c1, c2)
     return None
 
 
-def _secant_polish(budget, alpha_prev, dphi_prev, alpha, phi, dphi, phi0, dphi0, c1, c2):
+def _secant_polish(budget, alpha_prev, dphi_prev, alpha, phi, dphi, phi0, dphi0):
     """One secant step toward the exact line minimum after a Wolfe accept.
 
     Exact when the objective is quadratic along the line, which is what lets
@@ -145,14 +145,13 @@ def _secant_polish(budget, alpha_prev, dphi_prev, alpha, phi, dphi, phi0, dphi0,
         return None
     phi_p, dphi_p, fe_p = res
     if (np.isfinite(phi_p) and phi_p <= phi
-            and phi_p <= phi0 + c1 * alpha_p * dphi0
-            and abs(dphi_p) <= -c2 * dphi0):
+            and phi_p <= phi0 + C1 * alpha_p * dphi0
+            and abs(dphi_p) <= -C2 * dphi0):
         return alpha_p, fe_p
     return None
 
 
-def _wolfe_line_search(objective, x, fe0: ObjectiveEval, d, opts: OptimOptions,
-                       alpha0: float = 1.0):
+def _wolfe_line_search(objective, x, fe0: ObjectiveEval, d):
     """Find alpha satisfying the strong Wolfe conditions along d.
 
     Returns (alpha, ObjectiveEval at x + alpha d) or None on failure.
@@ -161,9 +160,9 @@ def _wolfe_line_search(objective, x, fe0: ObjectiveEval, d, opts: OptimOptions,
     dphi0 = float(fe0.gradient @ d)
     if dphi0 >= 0.0:
         return None  # not a descent direction
-    budget = _EvalBudget(objective, x, d, opts.max_line_evals)
+    budget = _EvalBudget(objective, x, d, MAX_LINE_EVALS)
     alpha_prev, phi_prev, dphi_prev = 0.0, phi0, dphi0
-    alpha = alpha0
+    alpha = 1.0
     alpha_cap = 1e10
     first = True
     while True:
@@ -174,16 +173,16 @@ def _wolfe_line_search(objective, x, fe0: ObjectiveEval, d, opts: OptimOptions,
         if not np.isfinite(phi):
             alpha = 0.5 * (alpha_prev + alpha)
             continue
-        if phi > phi0 + opts.c1 * alpha * dphi0 or (not first and phi >= phi_prev):
+        if phi > phi0 + C1 * alpha * dphi0 or (not first and phi >= phi_prev):
             return _zoom(budget, alpha_prev, phi_prev, dphi_prev, alpha, phi, dphi,
-                         phi0, dphi0, opts.c1, opts.c2)
-        if abs(dphi) <= -opts.c2 * dphi0:
+                         phi0, dphi0)
+        if abs(dphi) <= -C2 * dphi0:
             polished = _secant_polish(budget, alpha_prev, dphi_prev, alpha, phi, dphi,
-                                      phi0, dphi0, opts.c1, opts.c2)
+                                      phi0, dphi0)
             return polished if polished is not None else (alpha, fe)
         if dphi >= 0.0:
             return _zoom(budget, alpha, phi, dphi, alpha_prev, phi_prev, dphi_prev,
-                         phi0, dphi0, opts.c1, opts.c2)
+                         phi0, dphi0)
         alpha_prev, phi_prev, dphi_prev = alpha, phi, dphi
         if alpha >= alpha_cap:
             return None
@@ -211,7 +210,7 @@ def _two_loop(grad, pairs):
     return -r
 
 
-def _backtrack(objective, x, fe0: ObjectiveEval, opts: OptimOptions):
+def _backtrack(objective, x, fe0: ObjectiveEval):
     """Armijo backtracking along steepest descent. Returns (x_new, fe) or None."""
     g = fe0.gradient
     gg = float(g @ g)
@@ -219,7 +218,7 @@ def _backtrack(objective, x, fe0: ObjectiveEval, opts: OptimOptions):
     for _ in range(50):
         x_new = x - alpha * g
         fe = objective(x_new)
-        if np.isfinite(fe.value) and fe.value <= fe0.value - opts.c1 * alpha * gg:
+        if np.isfinite(fe.value) and fe.value <= fe0.value - C1 * alpha * gg:
             return x_new, fe
         alpha *= 0.5
     return None
@@ -250,10 +249,10 @@ def lbfgs_minimize(objective: Objective, x0, opts: OptimOptions | None = None):
         if not np.all(np.isfinite(d)) or float(d @ fe.gradient) >= 0.0:
             pairs.clear()
             d = -fe.gradient
-        found = _wolfe_line_search(objective, x, fe, d, opts)
+        found = _wolfe_line_search(objective, x, fe, d)
         if found is None:
             pairs.clear()
-            fallback = _backtrack(objective, x, fe, opts)
+            fallback = _backtrack(objective, x, fe)
             if fallback is None:
                 return x, it - 1, False
             x_new, fe_new = fallback
@@ -267,7 +266,7 @@ def lbfgs_minimize(objective: Objective, x0, opts: OptimOptions | None = None):
         sy = float(s @ y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > opts.history_size:
+            if len(pairs) > HISTORY_SIZE:
                 pairs.pop(0)
         x, fe = x_new, fe_new
         if fe.value < best_f:

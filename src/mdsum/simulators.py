@@ -188,9 +188,9 @@ OUP_SIGMA2 = 0.1
 OUP_BOUNDS = ((0.0, 2.0), (-2.0, 2.0))
 
 
-def _oup_paths(theta, noise: np.ndarray, x0: float = OUP_X0, sigma2: float = OUP_SIGMA2,
-               dt: float = 1.0) -> np.ndarray:
-    """Euler-Maruyama paths of dX = th1 (exp(th2) - X) dt + sigma dW.
+def _oup_paths(theta, noise: np.ndarray, sigma2: float = OUP_SIGMA2) -> np.ndarray:
+    """Euler-Maruyama paths of dX = th1 (exp(th2) - X) dt + sigma dW, with
+    unit steps from X_0 = OUP_X0.
 
     theta is one parameter (2,) for every path or one per path (n_traj, 2).
     noise holds the standard normal increments, shape (horizon, n_traj);
@@ -201,22 +201,20 @@ def _oup_paths(theta, noise: np.ndarray, x0: float = OUP_X0, sigma2: float = OUP
     th1, th2 = th[..., 0], th[..., 1]
     horizon, n_traj = noise.shape
     sigma = np.sqrt(sigma2)
-    sqrt_dt = np.sqrt(dt)
     level = np.exp(th2)
-    x = np.full(n_traj, x0)
+    x = np.full(n_traj, OUP_X0)
     out = np.empty((n_traj, horizon))
     for t in range(horizon):
-        x = x + th1 * (level - x) * dt + sigma * sqrt_dt * noise[t]
+        x = x + th1 * (level - x) + sigma * noise[t]
         np.clip(x, -TRAJECTORY_CLIP, TRAJECTORY_CLIP, out=x)
         out[:, t] = x
     return out
 
 
 def simulate_oup_trajectories(theta, n_traj: int, horizon: int, rng: np.random.Generator,
-                              x0: float = OUP_X0, sigma2: float = OUP_SIGMA2,
-                              dt: float = 1.0) -> np.ndarray:
+                              sigma2: float = OUP_SIGMA2) -> np.ndarray:
     """n_traj OU paths from one parameter, noise drawn step-major."""
-    return _oup_paths(theta, rng.standard_normal((horizon, n_traj)), x0, sigma2, dt)
+    return _oup_paths(theta, rng.standard_normal((horizon, n_traj)), sigma2)
 
 
 def _lag1_corr(a: np.ndarray, b: np.ndarray) -> float:

@@ -120,6 +120,15 @@ def check_finite(name: str, arr: np.ndarray) -> None:
         raise NumericalError(f"{name} contains non-finite values")
 
 
+def check_shape(name: str, arr: np.ndarray, shape: tuple) -> np.ndarray:
+    """arr itself when its shape is shape; ValueError otherwise, so a model
+    file whose arrays disagree with its own dimensions cannot load and let
+    broadcasting hide the fault."""
+    if arr.shape != tuple(shape):
+        raise ValueError(f"{name} has shape {arr.shape}, expected {tuple(shape)}")
+    return arr
+
+
 def as_2d_f64(name: str, data) -> np.ndarray:
     """Validate and coerce input to a 2-D float64 array."""
     arr = np.asarray(data, dtype=np.float64)

@@ -1,14 +1,20 @@
-"""Shared oracles and fixed models for the test suite.
+"""Shared oracles, fixed models and test-only probes for the test suite.
 
 The oracles are independent routes to quantities the library computes with
-learned components, kept deliberately simple so they can be trusted.
+learned components, kept deliberately simple so they can be trusted. The
+probes (mlp_backward, mdn_log_prob, posterior_moments,
+posterior_kl_analytic) read the library's models through the same code
+paths the library uses, but nothing in the library needs them.
 """
 
 import numpy as np
 
-from mdsum.inference import DecoderEmbedding, HoldoutRecords
+from mdsum.inference import (AnalyticGaussianEngine, DecoderEmbedding, HoldoutRecords,
+                             MdnEngine, PosteriorEngine, mdn_parameters)
 from mdsum.kernels import FeatureMap
-from mdsum.nn import mlp_init
+from mdsum.nn import Mlp, backward_from_output_grad, forward_batch, mlp_init, mse_loss_grad
+from mdsum.simulators import gaussian_posterior
+from mdsum.util import NumericalError
 
 
 def closed_form_embedding(fm, s, n_obs):
@@ -54,3 +60,63 @@ def fixed_decoder(threshold=0.75):
     holdout = HoldoutRecords(summaries=rng.standard_normal((4, 2)),
                              embeddings=rng.standard_normal((4, 6)))
     return dec, holdout
+
+
+def mlp_backward(mlp: Mlp, inputs, targets):
+    """MSE loss and exact parameter gradients on a batch.
+
+    Returns (loss, Gradients). Loss is the batch mean of the squared
+    Euclidean error between network outputs and targets.
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"batch size mismatch: {x.shape[0]} inputs vs {y.shape[0]} targets")
+    if y.ndim != 2 or y.shape[1] != mlp.layer_dims[-1]:
+        raise ValueError(f"expected targets of shape (B, {mlp.layer_dims[-1]}), got {y.shape}")
+    outputs, acts = forward_batch(mlp, x)
+    loss, grad_out = mse_loss_grad(outputs, y)
+    if not np.isfinite(loss):
+        raise NumericalError("non-finite loss in mlp_backward")
+    return loss, backward_from_output_grad(mlp, acts, grad_out)
+
+
+def mdn_log_prob(engine: MdnEngine, s, thetas) -> np.ndarray:
+    """log q(theta | s) for each row of thetas."""
+    w, means, sig = mdn_parameters(engine, s)
+    t = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
+    diff = t[:, None, :] - means[None, :, :]
+    comp = -0.5 * np.sum((diff / sig[None, :, :]) ** 2, axis=2) \
+        - np.sum(np.log(sig), axis=1)[None, :] \
+        - 0.5 * engine.theta_dim * np.log(2.0 * np.pi)
+    joint = np.log(w)[None, :] + comp
+    top = joint.max(axis=1, keepdims=True)
+    return top[:, 0] + np.log(np.exp(joint - top).sum(axis=1))
+
+
+def posterior_moments(engine: PosteriorEngine, s):
+    """Mean and per-dimension variance of q(theta | s)."""
+    if isinstance(engine, AnalyticGaussianEngine):
+        mean, var = gaussian_posterior(np.asarray(s, dtype=np.float64), engine.n_obs)
+        return mean, np.full(engine.dim, var)
+    if isinstance(engine, MdnEngine):
+        w, means, sig = mdn_parameters(engine, s)
+        mean = w @ means
+        second = w @ (sig * sig + means * means)
+        return mean, second - mean * mean
+    raise TypeError(f"unknown engine type {type(engine).__name__}")
+
+
+def posterior_kl_analytic(engine_a: PosteriorEngine, engine_b: PosteriorEngine,
+                          s_a, s_b) -> float:
+    """Closed-form KL( q_a(. | s_a) || q_b(. | s_b) ) for analytic engines."""
+    if not (isinstance(engine_a, AnalyticGaussianEngine)
+            and isinstance(engine_b, AnalyticGaussianEngine)):
+        raise TypeError("closed-form KL requires analytic Gaussian engines")
+    if engine_a.dim != engine_b.dim:
+        raise ValueError(f"dimension mismatch: {engine_a.dim} vs {engine_b.dim}")
+    d = engine_a.dim
+    ma, va = gaussian_posterior(np.asarray(s_a, dtype=np.float64), engine_a.n_obs)
+    mb, vb = gaussian_posterior(np.asarray(s_b, dtype=np.float64), engine_b.n_obs)
+    dm = mb - ma
+    return float(0.5 * (d * va / vb + (dm @ dm) / vb - d + d * np.log(vb / va)))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -216,15 +217,25 @@ def test_adapt_requires_threshold_when_gated(calibrated_decoder):
     assert res.threshold is None
 
 
-def test_adapt_without_task_metadata_needs_summary_fn(calibrated_decoder):
+def test_adapt_takes_its_summary_from_the_decoder_task(calibrated_decoder, monkeypatch):
+    # the summary is that of make_task(dec.task_name, **dec.task_params), so
+    # a decoder without a known task cannot be adapted
     task, dec = calibrated_decoder
     anon = copy.copy(dec)
     anon.task_name = ""
     data = task.simulate(np.zeros(2), derive_rng(26, "anon"))
     with pytest.raises(ValueError):
         adapt(anon, data, gate=False)
-    res = adapt(anon, data, gate=False, summary_fn=lambda d: d.mean(axis=0))
-    assert res.s_initial.shape == (2,)
+    calls = []
+
+    def recording_make_task(name, **params):
+        calls.append((name, params))
+        return dataclasses.replace(task, summary=lambda d: d.mean(axis=0) + 1.0)
+
+    monkeypatch.setattr("mdsum.adaptation.make_task", recording_make_task)
+    res = adapt(dec, data, gate=False)
+    assert calls == [(dec.task_name, dec.task_params)]
+    assert np.array_equal(res.s_initial, data.mean(axis=0) + 1.0)
 
 
 def test_adapt_falls_back_when_optimizer_cannot_improve(calibrated_decoder, monkeypatch):
@@ -258,20 +269,23 @@ def test_adapt_fails_closed_on_non_finite_data(calibrated_decoder, bad):
 
 @pytest.mark.parametrize("shape", [(N_OBS + 1, 2), (N_OBS, 3), (2 * N_OBS,)],
                          ids=["rows", "width", "1d"])
-def test_adapt_rejects_wrongly_shaped_observations(calibrated_decoder, shape):
+def test_adapt_rejects_wrongly_shaped_observations(calibrated_decoder, shape, monkeypatch):
     # a dataset the decoder's task cannot have produced must fail loudly,
     # before any summary is computed, with the gate on or off
-    _, dec = calibrated_decoder
+    task, dec = calibrated_decoder
     data = derive_rng(26, "shape").standard_normal(shape)
-
-    def summary_fn(_):
-        raise AssertionError("summary computed on a wrongly shaped dataset")
-
     for gate in (True, False):
         with pytest.raises(ValueError, match="observations must have shape"):
             adapt(dec, data, gate=gate)
+
+    def summary(_):
+        raise AssertionError("summary computed on a wrongly shaped dataset")
+
+    monkeypatch.setattr("mdsum.adaptation.make_task",
+                        lambda name, **params: dataclasses.replace(task, summary=summary))
+    for gate in (True, False):
         with pytest.raises(ValueError, match="observations must have shape"):
-            adapt(dec, data, gate=gate, summary_fn=summary_fn)
+            adapt(dec, data, gate=gate)
 
 
 def test_detect_and_adapt_share_the_statistic(calibrated_decoder):

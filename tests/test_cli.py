@@ -139,6 +139,21 @@ def test_adapt_on_a_non_finite_model_exits_3(bench_run, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_adapt_on_a_misshapen_model_exits_2(bench_run, tmp_path, capsys):
+    # one bias and the phases cut to one value: broadcasting would hide both
+    key = config_hash(config_from_dict(dict(TINY)))[:16]
+    manifest = json.loads((bench_run / f"manifest-{key}.json").read_text())
+    saved = json.loads((bench_run / manifest["artifacts"]["decoder"]).read_text())
+    for arr in (saved["regressor"]["biases"][0], saved["feature_map"]["phases"]):
+        arr["shape"], arr["hex"] = [1], arr["hex"][:1]
+    model = tmp_path / "decoder.json"
+    model.write_text(json.dumps(saved), encoding="utf-8")
+    path = tmp_path / "obs.npy"
+    np.save(path, derive_rng(70, "misshapen").standard_normal((12, 2)))
+    assert main(["adapt", "--model", str(model), "--data", str(path)]) == EXIT_CONFIG
+    assert "has shape (1,)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cmd", ["simulate", "train"])
 @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--no-gate"], ["--optimizer", "lbfgs"]])
 def test_stage_commands_reject_evaluation_flags(config_path, tmp_path, capsys, cmd, flag):

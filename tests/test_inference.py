@@ -3,7 +3,8 @@ import json
 
 import numpy as np
 import pytest
-from helpers import closed_form_embedding, fd_gradient, fixed_decoder
+from helpers import (closed_form_embedding, fd_gradient, fixed_decoder, mdn_log_prob,
+                     posterior_kl_analytic, posterior_moments)
 from scipy.special import logsumexp
 from scipy.stats import norm
 
@@ -22,12 +23,9 @@ from mdsum.inference import (
     engine_load,
     engine_save,
     engine_to_payload,
-    mdn_log_prob,
     mdn_loss_grad_factory,
     mdn_parameters,
     pool_feature_means,
-    posterior_kl_analytic,
-    posterior_moments,
     posterior_sample,
     standardize,
     train_decoder,
@@ -509,7 +507,7 @@ def test_model_hashes_refuse_non_finite_parameters(value):
 
 
 def _old_mlp_payload(mlp):
-    return {"kind": "mlp", "layer_dims": list(mlp.layer_dims), "activation": mlp.activation,
+    return {"kind": "mlp", "layer_dims": list(mlp.layer_dims), "activation": "tanh",
             "weights": [encode_floats(w) for w in mlp.weights],
             "biases": [encode_floats(b) for b in mlp.biases]}
 
@@ -578,6 +576,52 @@ def test_loads_refuse_non_finite_values(tmp_path):
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(NumericalError):
             (decoder_load if kind == "decoder" else engine_load)(path)
+
+
+def _shrink_feature_map(dec):
+    # a consistent 5-feature map under a regressor that still outputs 6
+    fm = dec.feature_map
+    fm.n_features, fm.frequencies, fm.phases = 5, fm.frequencies[:5], fm.phases[:5]
+
+
+MISSHAPEN_DECODERS = {
+    "bias": lambda d: d.regressor.biases.__setitem__(0, np.zeros(1)),
+    "weight": lambda d: d.regressor.weights.__setitem__(1, d.regressor.weights[1][:, :4]),
+    "layer_count": lambda d: d.regressor.weights.pop(),
+    "frequencies": lambda d: setattr(d.feature_map, "frequencies",
+                                     d.feature_map.frequencies[:, :1]),
+    "phases": lambda d: setattr(d.feature_map, "phases", d.feature_map.phases[:1]),
+    "summary_mean": lambda d: setattr(d, "summary_mean", np.zeros(3)),
+    "summary_std": lambda d: setattr(d, "summary_std", d.summary_std[:1]),
+    "regressor_output": _shrink_feature_map,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MISSHAPEN_DECODERS))
+def test_decoder_load_rejects_arrays_that_disagree_with_its_dimensions(tmp_path, edit):
+    # broadcasting would let such a file load and answer adapt queries
+    dec, holdout = fixed_decoder()
+    MISSHAPEN_DECODERS[edit](dec)
+    decoder_save(dec, tmp_path / "decoder.json", holdout)
+    with pytest.raises(ValueError):
+        decoder_load(tmp_path / "decoder.json")
+
+
+MISSHAPEN_ENGINES = {
+    "input_mean": lambda e: setattr(e, "input_mean", np.zeros(2)),
+    "input_std": lambda e: setattr(e, "input_std", np.ones(2)),
+    "n_components": lambda e: setattr(e, "n_components", e.n_components + 1),
+    "bias": lambda e: e.mlp.biases.__setitem__(1, e.mlp.biases[1][:-1]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MISSHAPEN_ENGINES))
+def test_engine_load_rejects_arrays_that_disagree_with_its_dimensions(tmp_path, edit):
+    engine = make_mdn_engine(seed=23)
+    MISSHAPEN_ENGINES[edit](engine)
+    engine_save(engine, tmp_path / "engine.json")
+    with pytest.raises(ValueError):
+        engine_load(tmp_path / "engine.json")
 
 
 def test_saved_files_keep_the_nested_hex_format(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import mlp_backward
+
 from mdsum.nn import (AdamState, Mlp, TrainOptions, adam_init, adam_step, fit_mlp,
-                      forward_batch, mlp_backward, mlp_forward, mlp_from_payload,
+                      forward_batch, mlp_forward, mlp_from_payload,
                       mlp_init, mlp_to_payload, mlp_vjp)
 from mdsum.util import NumericalError, derive_rng
 
@@ -40,8 +42,6 @@ def test_init_rejects_bad_dims():
         mlp_init([3], np.random.default_rng(0))
     with pytest.raises(ValueError):
         mlp_init([3, 0, 2], np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        mlp_init([2, 2], np.random.default_rng(0), activation="relu")
 
 
 def test_init_is_deterministic():
@@ -304,6 +304,19 @@ def test_fit_mlp_is_deterministic():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(activation="relu"),
+    lambda p: p["biases"].pop(),
+    lambda p: p["weights"].__setitem__(0, p["weights"][0].T),
+    lambda p: p["biases"].__setitem__(1, p["biases"][1][:1]),
+], ids=["activation", "layer_count", "weight_shape", "bias_shape"])
+def test_payload_rejects_other_activations_and_mismatched_arrays(edit):
+    payload = mlp_to_payload(mlp_init([4, 7, 3], np.random.default_rng(21)))
+    edit(payload)
+    with pytest.raises(ValueError):
+        mlp_from_payload(payload)
+
 
 def test_payload_round_trip_is_value_exact():
     mlp = mlp_init([4, 7, 3], np.random.default_rng(21))

@@ -157,6 +157,6 @@ def test_lbfgs_is_deterministic():
 
 def test_optim_options_validation():
     with pytest.raises(ValueError):
-        lbfgs_minimize(quadratic([0.0]), np.zeros(1), OptimOptions(c1=0.5, c2=0.3))
-    with pytest.raises(ValueError):
         lbfgs_minimize(quadratic([0.0]), np.zeros(1), OptimOptions(max_iters=0))
+    with pytest.raises(ValueError):
+        lbfgs_minimize(quadratic([0.0]), np.zeros(1), OptimOptions(grad_tol=0.0))

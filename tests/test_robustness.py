@@ -1,0 +1,74 @@
+"""Bounded influence of far outliers on the minimum-distance summary.
+
+A far outlier's kernel weight vanishes, so the minimiser of the MMD
+objective stays near the clean data however far the outliers sit (Briol
+et al., arXiv 1906.05944; Cherief-Abdellatif & Alquier, arXiv 1912.05737),
+while the plain sample mean follows them. The objective here is the exact
+random-feature one, built from the closed-form embedding of the Gaussian
+location task, so no training is needed.
+"""
+
+import numpy as np
+from helpers import closed_form_embedding
+
+from mdsum.contamination import contaminate_gaussian
+from mdsum.kernels import build_feature_map, mean_embedding, median_heuristic
+from mdsum.optimize import ObjectiveEval, lbfgs_minimize
+from mdsum.simulators import gaussian_task
+from mdsum.util import derive_rng
+
+SEED = 0
+N_OBS = 100
+N_FEATURES = 512
+N_DATASETS = 40
+EPS = 0.2
+DELTAS = (3.0, 10.0, 50.0)
+
+
+def _exact_objective(fm, z):
+    """phi(s) = ||closed-form embedding(s) - z||^2 with its gradient."""
+    w = fm.frequencies
+    amp = np.sqrt(2.0 / fm.n_features) * np.exp(-0.5 * (1.0 - 1.0 / N_OBS) * (w * w).sum(axis=1))
+
+    def phi(s):
+        r = closed_form_embedding(fm, s, N_OBS) - z
+        d_cos = -np.sin(w @ s + fm.phases) * amp  # d/d(w.s) of each embedding entry
+        return ObjectiveEval(float(r @ r), 2.0 * (r * d_cos) @ w)
+
+    return phi
+
+
+def test_far_outliers_move_the_minimum_distance_summary_by_a_bounded_amount():
+    # measured at delta 3 / 10 / 50: the plain summary's median error
+    # 0.270 / 0.503 / 2.244; s*'s 90th percentile 0.272 / 0.148 / 0.149.
+    # s*'s maximum at delta 50 is 8.74: one dataset whose 16 outliers carry
+    # a net 12 signs puts s0 8.5 from the data, where L-BFGS stops in a
+    # local minimum (phi 1.28) far from the global one (0.042, near the
+    # clean summary). The bound below is on the 90th percentile.
+    task = gaussian_task(d=2, n_obs=N_OBS)
+    reference = np.vstack([task.simulate(task.prior_sample(rng), rng)
+                           for rng in (derive_rng(SEED, "bi-bw", i) for i in range(20))])
+    fm = build_feature_map(2, N_FEATURES, median_heuristic(reference),
+                           derive_rng(SEED, "bi-fm"))
+    plain = {delta: [] for delta in DELTAS}
+    adapted = {delta: [] for delta in DELTAS}
+    for j in range(N_DATASETS):
+        rng = derive_rng(SEED, "bi-data", j)
+        clean = task.simulate(task.prior_sample(rng), rng)
+        s_clean = task.summary(clean)
+        for delta in DELTAS:
+            # the same rows and signs at every delta; only the distance changes
+            observed = contaminate_gaussian(clean, EPS, delta,
+                                            derive_rng(SEED, "bi-contaminate", j))
+            s0 = task.summary(observed)
+            phi = _exact_objective(fm, mean_embedding(fm, observed).values)
+            s_star, _iters, _converged = lbfgs_minimize(phi, s0)
+            assert phi(s_star).value <= phi(s0).value
+            plain[delta].append(np.linalg.norm(s0 - s_clean))
+            adapted[delta].append(np.linalg.norm(s_star - s_clean))
+    med_plain = {delta: float(np.median(v)) for delta, v in plain.items()}
+    p90_adapted = {delta: float(np.quantile(v, 0.9)) for delta, v in adapted.items()}
+    assert med_plain[50.0] > 1.0
+    assert med_plain[3.0] < med_plain[10.0] < med_plain[50.0]
+    for delta in DELTAS:
+        assert p90_adapted[delta] <= 0.35, (delta, p90_adapted)
