@@ -155,10 +155,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_summarize(args) -> int:
     from .harness import summarize, write_summary_csv
-    rows, table, missing = summarize(args.csv)
+    rows, table = summarize(args.csv)
     print(table)
-    if missing:
-        print(f"missing cells: {missing}", file=sys.stderr)
     if args.out:
         write_summary_csv(rows, args.out)
         print(f"summary: {args.out}")

@@ -492,13 +492,11 @@ def _median_iqr(values):
             float(np.quantile(arr, 0.75) - np.quantile(arr, 0.25)))
 
 
-def summarize(csv_paths, expected_cells=None):
+def summarize(csv_paths):
     """Aggregate one or more results CSVs per (task, method, eps, delta) cell.
 
-    Returns (summary_rows, table_text, missing_cells). Each summary row
-    carries n, median and IQR for the numeric metrics, and the detection
-    rate. expected_cells, when given, is an iterable of (task, method, eps,
-    delta) tuples; cells absent from the data are reported, never invented.
+    Returns (summary_rows, table_text). Each summary row carries n, median
+    and IQR for the numeric metrics, and the detection rate.
     """
     rows = []
     for p in csv_paths:
@@ -519,11 +517,6 @@ def summarize(csv_paths, expected_cells=None):
             out[f"{col}_median"], out[f"{col}_iqr"] = med, iqr
         summary_rows.append(out)
 
-    missing = []
-    if expected_cells is not None:
-        present = set(groups)
-        missing = [c for c in expected_cells if tuple(c) not in present]
-
     cols = ["task", "method", "eps", "delta", "n", "rmse_median", "rmse_iqr",
             "coverage_median", "posterior_mmd_median", "predictive_mmd_median",
             "summary_oracle_dist_median", "detected_rate"]
@@ -538,7 +531,7 @@ def summarize(csv_paths, expected_cells=None):
     for r in summary_rows:
         lines.append("  ".join(fmt(r.get(c)).ljust(widths[c]) for c in cols))
     table = "\n".join(lines)
-    return summary_rows, table, missing
+    return summary_rows, table
 
 
 def write_summary_csv(summary_rows, path) -> None:

@@ -13,6 +13,7 @@ distance between mean embeddings estimates the biased (V-statistic) MMD^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -82,12 +83,26 @@ def _sample_distinct_pairs(n_rows: int, n_pairs: int, rng: np.random.Generator):
     return i, j
 
 
+@lru_cache(maxsize=2)
+def _default_pairs(n_rows: int, n_pairs: int):
+    """_sample_distinct_pairs on a fresh default_rng(0), drawn once per size.
+
+    The arrays are read-only, since every caller shares them.
+    """
+    i, j = _sample_distinct_pairs(n_rows, n_pairs, np.random.default_rng(0))
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
 def median_heuristic(data, max_pairs: int = 1_000_000, rng: np.random.Generator | None = None) -> float:
     """Median pairwise Euclidean distance, floored at BANDWIDTH_FLOOR.
 
     When the number of distinct pairs exceeds max_pairs, a uniform
     without-replacement subsample of pairs is used; pass rng to control it
-    (defaults to a fixed stream so results are reproducible regardless).
+    (it then advances on every call). Without rng the pairs come from a
+    fixed stream, so results are reproducible regardless; they depend only
+    on (n, max_pairs), and are drawn once per such size and reused.
     """
     x = as_2d_f64("data", data)
     check_finite("data", x)
@@ -101,14 +116,22 @@ def median_heuristic(data, max_pairs: int = 1_000_000, rng: np.random.Generator 
         dists = pdist(x, metric="euclidean")
     else:
         if rng is None:
-            rng = np.random.default_rng(0)
-        i, j = _sample_distinct_pairs(n, max_pairs, rng)
+            i, j = _default_pairs(n, max_pairs)
+        else:
+            i, j = _sample_distinct_pairs(n, max_pairs, rng)
+        # take gathers rows far faster than fancy indexing; the in-place
+        # steps and numpy's axis-1 sum keep every distance bit-identical
         chunk = max(1, GATHER_BYTES // x[0].nbytes)
         dists = np.empty(max_pairs)
         for start in range(0, max_pairs, chunk):
             rows = slice(start, start + chunk)
-            dists[rows] = np.sqrt(np.sum((x[i[rows]] - x[j[rows]]) ** 2, axis=1))
-    med = float(np.median(dists))
+            diff = x.take(i[rows], axis=0)
+            diff -= x.take(j[rows], axis=0)
+            diff *= diff
+            np.sum(diff, axis=1, out=dists[rows])
+        np.sqrt(dists, out=dists)
+    # dists is this call's own buffer, so the median may reorder it
+    med = float(np.median(dists, overwrite_input=True))
     return max(med, BANDWIDTH_FLOOR)
 
 
@@ -152,10 +175,20 @@ def mmd2_rff(fm: FeatureMap, emb_a: MeanEmbedding, emb_b: MeanEmbedding) -> floa
     return float(d @ d)
 
 
+def _kernel_mean(gamma: float, a: np.ndarray, b: np.ndarray) -> float:
+    """Mean of exp(-gamma ||a_i - b_j||^2) over all pairs, in one buffer."""
+    k = cdist(a, b, metric="sqeuclidean")
+    k *= -gamma
+    np.exp(k, out=k)
+    return k.mean()
+
+
 def mmd2_exact(bandwidth: float, xs, ys) -> float:
     """Biased (V-statistic) MMD^2 under the exact RBF kernel.
 
-    Always >= -1e-12 up to roundoff and exactly symmetric in its arguments.
+    Always >= -1e-12 up to roundoff. Swapping xs and ys gives the same
+    value up to its last bits only: the cross term then averages the
+    transposed kernel matrix, whose sum runs in another order.
     """
     if not (bandwidth > 0.0 and np.isfinite(bandwidth)):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
@@ -166,9 +199,9 @@ def mmd2_exact(bandwidth: float, xs, ys) -> float:
     check_finite("xs", x)
     check_finite("ys", y)
     gamma = 1.0 / (2.0 * bandwidth * bandwidth)
-    kxx = np.exp(-gamma * cdist(x, x, metric="sqeuclidean")).mean()
-    kyy = np.exp(-gamma * cdist(y, y, metric="sqeuclidean")).mean()
-    kxy = np.exp(-gamma * cdist(x, y, metric="sqeuclidean")).mean()
+    kxx = _kernel_mean(gamma, x, x)
+    kyy = _kernel_mean(gamma, y, y)
+    kxy = _kernel_mean(gamma, x, y)
     return float(kxx + kyy - 2.0 * kxy)
 
 

@@ -274,7 +274,7 @@ HAND_CSV = "\n".join([
 def test_summarize_hand_built_rows(tmp_path):
     path = tmp_path / "hand.csv"
     path.write_text(HAND_CSV, encoding="utf-8")
-    summary_rows, table, missing = summarize([path])
+    summary_rows, table = summarize([path])
     assert len(summary_rows) == 2
     mds = next(r for r in summary_rows if r["method"] == "npe_mds")
     plain = next(r for r in summary_rows if r["method"] == "npe_plain")
@@ -285,16 +285,6 @@ def test_summarize_hand_built_rows(tmp_path):
     assert mds["summary_oracle_dist_median"] == pytest.approx(2.0)
     assert mds["detected_rate"] == pytest.approx(0.5)
     assert "npe_mds" in table and "npe_plain" in table
-    assert missing == []
-
-
-def test_summarize_reports_missing_cells(tmp_path):
-    path = tmp_path / "hand.csv"
-    path.write_text(HAND_CSV, encoding="utf-8")
-    expected = [("gaussian", "npe_plain", 0.2, 3.0),
-                ("gaussian", "npe_plain", 0.4, 3.0)]
-    _, _, missing = summarize([path], expected_cells=expected)
-    assert missing == [("gaussian", "npe_plain", 0.4, 3.0)]
 
 
 def test_summarize_merges_multiple_csvs(tmp_path):
@@ -302,14 +292,14 @@ def test_summarize_merges_multiple_csvs(tmp_path):
     p2 = tmp_path / "b.csv"
     p1.write_text(HAND_CSV, encoding="utf-8")
     p2.write_text(HAND_CSV, encoding="utf-8")
-    summary_rows, _, _ = summarize([p1, p2])
+    summary_rows, _ = summarize([p1, p2])
     assert all(r["n"] == 4 for r in summary_rows)
 
 
 def test_write_summary_csv_round_trip(tmp_path):
     src = tmp_path / "hand.csv"
     src.write_text(HAND_CSV, encoding="utf-8")
-    summary_rows, _, _ = summarize([src])
+    summary_rows, _ = summarize([src])
     out = tmp_path / "summary.csv"
     write_summary_csv(summary_rows, out)
     lines = out.read_text(encoding="utf-8").splitlines()

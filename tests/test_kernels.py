@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from mdsum import kernels
 from mdsum.kernels import (BANDWIDTH_FLOOR, GATHER_BYTES, FeatureMap, _sample_distinct_pairs,
@@ -74,6 +75,43 @@ def test_median_sampled_gather_is_exact_and_bounded():
         tracemalloc.stop()
     full_gather_bytes = n_pairs * x[0].nbytes  # one of x[i], x[j], their difference
     assert peak < full_gather_bytes / 4
+
+
+@pytest.mark.parametrize("width", [2, 7, 8, 25])  # numpy's pairwise sum starts at 8 columns
+def test_median_sampled_default_stream_is_exact(width):
+    # the default stream's pairs, gathered with take and reduced in place,
+    # must give the plain fancy-indexing formula's median to the bit
+    n, k = 400, 20_000
+    x = derive_rng(9, "median", width).standard_normal((n, width))
+    i, j = _sample_distinct_pairs(n, k, np.random.default_rng(0))
+    expected = float(np.median(np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=1))))
+    assert median_heuristic(x, max_pairs=k) == expected
+
+
+def test_median_default_pairs_are_drawn_once_and_read_only():
+    n, k = 300, 5000
+    x = derive_rng(10, "median").standard_normal((n, 3))
+    kernels._default_pairs.cache_clear()
+    first = median_heuristic(x, max_pairs=k)
+    assert median_heuristic(x, max_pairs=k) == first
+    info = kernels._default_pairs.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    i, j = kernels._default_pairs(n, k)
+    assert kernels._default_pairs(n, k)[0] is i
+    for arr in (i, j):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_median_passed_rng_draws_on_every_call():
+    # a caller's stream advances exactly as a twin passed to the sampler
+    n, k = 300, 5000
+    x = derive_rng(11, "median").standard_normal((n, 3))
+    r, twin = derive_rng(3, "pairs"), derive_rng(3, "pairs")
+    for _ in range(2):
+        median_heuristic(x, max_pairs=k, rng=r)
+        _sample_distinct_pairs(n, k, twin)
+        assert r.random() == twin.random()
 
 
 def test_median_rejects_degenerate_input():
@@ -307,6 +345,21 @@ def test_mmd2_exact_separates_distributions():
         assert 0.0 < d_diff <= 2.0
         hits += d_diff > d_same
     assert hits >= 95
+
+
+def test_mmd2_exact_matches_three_temporary_formula():
+    # one buffer per kernel mean must not change a bit of the value
+    for seed in range(10):
+        rng = derive_rng(20, "mmd", seed)
+        d = int(rng.integers(1, 6))
+        x = rng.standard_normal((int(rng.integers(2, 300)), d))
+        y = rng.standard_normal((int(rng.integers(2, 300)), d)) + 0.5
+        ell = float(rng.uniform(0.2, 3.0))
+        gamma = 1.0 / (2.0 * ell * ell)
+        kxx = np.exp(-gamma * cdist(x, x, metric="sqeuclidean")).mean()
+        kyy = np.exp(-gamma * cdist(y, y, metric="sqeuclidean")).mean()
+        kxy = np.exp(-gamma * cdist(x, y, metric="sqeuclidean")).mean()
+        assert mmd2_exact(ell, x, y) == float(kxx + kyy - 2.0 * kxy)
 
 
 def test_mmd2_exact_symmetry_and_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdsum.kernels import median_heuristic
 from mdsum.metrics import coverage, predictive_mmd, rmse, sample_mmd, summary_oracle_distance
 from mdsum.simulators import gaussian_task
 from mdsum.util import derive_rng
@@ -80,6 +81,19 @@ def test_sample_mmd_symmetry():
     a = rng.standard_normal((30, 2))
     b = rng.standard_normal((25, 2)) + 1.0
     assert sample_mmd(a, b) == sample_mmd(b, a)
+
+
+def test_sample_mmd_symmetry_is_exact_only_below_the_pair_sample():
+    # the exact-path bandwidth is a median over the same distances either
+    # way round; the sampled path's fixed pair codes pick other pairs once
+    # the stacked rows swap, so the value then agrees only closely
+    rng = derive_rng(61, "sym-sampled")
+    a = rng.standard_normal((30, 2))
+    b = rng.standard_normal((25, 2)) + 1.0
+    assert median_heuristic(np.vstack([a, b])) == median_heuristic(np.vstack([b, a]))
+    a = rng.standard_normal((1000, 2))
+    b = rng.standard_normal((1000, 2)) + 0.5
+    assert sample_mmd(a, b) == pytest.approx(sample_mmd(b, a), rel=1e-3)
 
 
 def test_sample_mmd_two_point_hand_value():
