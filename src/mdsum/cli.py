@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: simulate (pool), train (pool, decoder with its calibrated
-gate, and posterior engine), adapt (one observed dataset), evaluate and its
-alias bench (every stage, each served from cache when present, then the
-evaluation grid), summarize, verify. Only evaluate/bench take --jobs and
---no-gate. Exit codes: 0 success, 2 configuration/usage error, 3 numerical
-failure.
+gate, and posterior engine), adapt (one observed dataset), evaluate (every
+stage, each served from cache when present, then the evaluation grid),
+summarize, verify. Only evaluate takes --jobs; evaluate and adapt take
+--no-gate. Configs are JSON. Exit codes: 0 success, 2 configuration/usage
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ EXIT_NUMERICAL = 3
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", required=True, help="experiment config file (JSON or YAML)")
+    p.add_argument("--config", required=True, help="experiment config file (JSON)")
     p.add_argument("--out-dir", default="runs", help="artifact/cache directory")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config's master_seed")
@@ -56,12 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the result JSON here (default stdout)")
     _add_no_gate(p)
 
-    for name, text in (("evaluate", "run every stage (cached) and the evaluation grid"),
-                       ("bench", "alias of evaluate")):
-        p = sub.add_parser(name, help=text)
-        _add_common(p)
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for evaluation")
-        _add_no_gate(p)
+    p = sub.add_parser("evaluate", help="run every stage (cached) and the evaluation grid")
+    _add_common(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for evaluation")
+    _add_no_gate(p)
 
     p = sub.add_parser("summarize", help="aggregate results CSVs per grid cell")
     p.add_argument("csv", nargs="+", help="results CSV paths")
@@ -185,7 +183,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "adapt": _cmd_adapt,
     "evaluate": _cmd_evaluate,
-    "bench": _cmd_evaluate,
     "summarize": _cmd_summarize,
     "verify": _cmd_verify,
 }

@@ -26,7 +26,7 @@ class GoldenFixture:
     path: Path
     config: ExperimentConfig
     expected_csv: Path
-    tolerances: dict  # column -> {"rel": float, "abs": float, "ignore": bool}
+    tolerances: dict  # column -> {"rel": float, "abs": float}
 
 
 @dataclass
@@ -103,8 +103,6 @@ def _verify_in(fixture: GoldenFixture, out_dir) -> FixtureReport:
     for i, (grow, erow) in enumerate(zip(got, expected)):
         for col, gval, eval_ in zip(names, grow, erow):
             tol = fixture.tolerances.get(col, {})
-            if tol.get("ignore", False):
-                continue
             if col in _STRING_COLS or not tol:
                 ok = gval == eval_
                 if not ok:

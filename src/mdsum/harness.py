@@ -11,11 +11,11 @@ derived from the part of the config that affects it, so stages are
 skippable and reruns are cheap. All randomness is derived from
 (master_seed, stage tag, dataset index); together with ordered row
 emission this makes the results CSV byte-identical for a given config at
-any parallelism level.
+any parallelism level. Stage timings go to the manifest, never to the CSV.
 
-Per-row wall_time_ms is written as 0 unless record_timing is set, because
-measured timings would break CSV reproducibility; stage timings always go
-to the manifest instead.
+A config is one JSON document holding only the values its callers set;
+the rest (the gate and coverage levels, the engine and its mixture size,
+the learning rate and batch size) are fixed here.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,11 +44,14 @@ from .util import NumericalError, canonical_json, derive_rng, sha256_hex
 from . import __version__
 
 CSV_HEADER = ("task,method,eps,delta,seed,rmse,coverage,posterior_mmd,"
-              "predictive_mmd,summary_oracle_dist,detected,wall_time_ms")
+              "predictive_mmd,summary_oracle_dist,detected")
+
+MDN_COMPONENTS = 5
 
 _TASKS = ("gaussian", "factor", "oup", "sir")
 _METHODS = ("npe_plain", "npe_mds")
-_ENGINES = ("", "analytic", "mdn")
+_COUNTS = ("d", "obs_dim", "n_obs", "horizon", "n_train", "n_features", "max_epochs",
+           "patience", "n_test_datasets", "n_posterior_samples", "n_predictive")
 _DEFAULT_N_TRAIN = {"gaussian": 50_000, "factor": 50_000, "oup": 10_000, "sir": 10_000}
 _DEFAULT_HORIZON = {"oup": 25, "sir": 365}
 
@@ -61,13 +65,8 @@ class ExperimentConfig:
     horizon: int | None = None  # trajectory length (oup/sir only)
     n_train: int | None = None  # simulation pool size (per-task default)
     n_features: int = 512
-    alpha: float = 0.05
     holdout_frac: float = 0.05
     gate: bool = True
-    engine: str = ""  # "" = analytic for gaussian, mdn otherwise
-    mdn_components: int = 5
-    learning_rate: float = 5e-4
-    batch_size: int = 128
     max_epochs: int = 500
     patience: int = 20
     contamination: list = field(default_factory=lambda: [{"eps": 0.0, "delta": 0.0}])
@@ -75,9 +74,23 @@ class ExperimentConfig:
     n_test_datasets: int = 100
     n_posterior_samples: int = 1000
     n_predictive: int = 200
-    coverage_alpha: float = 0.05
     master_seed: int = 0
-    record_timing: bool = False
+
+    # fixed levels, readable but not settable from a config document
+    alpha: ClassVar[float] = 0.05  # gate false-alarm rate
+    coverage_alpha: ClassVar[float] = 0.05  # credible level of the coverage metric
+
+    @property
+    def engine(self) -> str:
+        return "analytic" if self.task == "gaussian" else "mdn"
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -97,28 +110,23 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         cfg.horizon = _DEFAULT_HORIZON.get(cfg.task)
     if cfg.n_train is None:
         cfg.n_train = _DEFAULT_N_TRAIN[cfg.task]
-    if cfg.engine not in _ENGINES:
-        raise ValueError(f"unknown engine {cfg.engine!r} (expected one of {_ENGINES})")
-    if cfg.engine == "analytic" and cfg.task != "gaussian":
-        raise ValueError("the analytic engine is only available for the gaussian task")
-    if cfg.engine == "":
-        cfg.engine = "analytic" if cfg.task == "gaussian" else "mdn"
-    if not cfg.methods:
-        raise ValueError("methods must not be empty")
+    if not isinstance(cfg.gate, bool):
+        raise ValueError(f"gate must be true or false, got {cfg.gate!r}")
+    if not _is_int(cfg.master_seed):
+        raise ValueError(f"master_seed must be an integer, got {cfg.master_seed!r}")
+    for name in _COUNTS:
+        value = getattr(cfg, name)
+        if value is not None and not (_is_int(value) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if not isinstance(cfg.methods, list) or not cfg.methods:
+        raise ValueError("methods must be a non-empty list")
     for m in cfg.methods:
         if m not in _METHODS:
             raise ValueError(f"unknown method {m!r} (expected subset of {_METHODS})")
-    if not (0.0 < cfg.alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {cfg.alpha}")
-    if not (0.0 < cfg.coverage_alpha < 1.0):
-        raise ValueError(f"coverage_alpha must lie in (0, 1), got {cfg.coverage_alpha}")
-    if not (0.0 < cfg.holdout_frac < 1.0):
-        raise ValueError(f"holdout_frac must lie in (0, 1), got {cfg.holdout_frac}")
-    for name in ("d", "obs_dim", "n_obs", "n_train", "n_features", "mdn_components",
-                 "batch_size", "max_epochs", "patience", "n_test_datasets",
-                 "n_posterior_samples", "n_predictive"):
-        if int(getattr(cfg, name)) < 1:
-            raise ValueError(f"{name} must be positive, got {getattr(cfg, name)}")
+    if len(set(cfg.methods)) != len(cfg.methods):
+        raise ValueError(f"methods must not repeat, got {cfg.methods}")
+    if not _is_number(cfg.holdout_frac) or not (0.0 < cfg.holdout_frac < 1.0):
+        raise ValueError(f"holdout_frac must be a number in (0, 1), got {cfg.holdout_frac!r}")
     if not isinstance(cfg.contamination, list) or not cfg.contamination:
         raise ValueError("contamination must be a non-empty list of cells")
     cells = []
@@ -128,6 +136,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         extra = sorted(set(cell) - {"kind", "eps", "delta"})
         if extra:
             raise ValueError(f"unknown contamination keys: {', '.join(extra)}")
+        for name in ("eps", "delta"):
+            if not _is_number(cell.get(name, 0.0)):
+                raise ValueError(f"contamination {name} must be a number, got {cell[name]!r}")
         cells.append({"kind": cell.get("kind", default_kind(cfg.task)),
                       "eps": float(cell.get("eps", 0.0)),
                       "delta": float(cell.get("delta", 0.0))})
@@ -139,26 +150,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def config_load(path) -> ExperimentConfig:
-    """Read a config from JSON or YAML."""
-    text = Path(path).read_text(encoding="utf-8")
-    suffix = Path(path).suffix.lower()
-    import yaml
-    if suffix == ".json":
-        raw = json.loads(text)
-    elif suffix in (".yaml", ".yml"):
-        try:
-            raw = yaml.safe_load(text)
-        except yaml.YAMLError as err:
-            raise ValueError(f"invalid YAML config {path}: {err}") from err
-    else:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError:
-            try:
-                raw = yaml.safe_load(text)
-            except yaml.YAMLError as err:
-                raise ValueError(f"config {path} is neither valid JSON nor YAML: {err}") from err
-    return config_from_dict(raw if raw is not None else {})
+    """Read a config from a JSON file."""
+    return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -173,23 +166,29 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # Stages
 # ---------------------------------------------------------------------------
 
+def _train_options(cfg: ExperimentConfig) -> TrainOptions:
+    return TrainOptions(max_epochs=cfg.max_epochs, patience=cfg.patience)
+
+
 def _pool_key(cfg: ExperimentConfig) -> str:
     parts = {"task": cfg.task, "d": cfg.d, "obs_dim": cfg.obs_dim, "n_obs": cfg.n_obs,
              "horizon": cfg.horizon, "n_train": cfg.n_train, "master_seed": cfg.master_seed}
     return sha256_hex(canonical_json(parts))[:16]
 
 def _decoder_key(cfg: ExperimentConfig) -> str:
+    opts = _train_options(cfg)
     parts = {"pool": _pool_key(cfg), "n_features": cfg.n_features,
              "holdout_frac": cfg.holdout_frac, "alpha": cfg.alpha,
-             "learning_rate": cfg.learning_rate, "batch_size": cfg.batch_size,
-             "max_epochs": cfg.max_epochs, "patience": cfg.patience}
+             "learning_rate": opts.learning_rate, "batch_size": opts.batch_size,
+             "max_epochs": opts.max_epochs, "patience": opts.patience}
     return sha256_hex(canonical_json(parts))[:16]
 
 def _engine_key(cfg: ExperimentConfig) -> str:
+    opts = _train_options(cfg)
     parts = {"pool": _pool_key(cfg), "engine": cfg.engine,
-             "mdn_components": cfg.mdn_components, "learning_rate": cfg.learning_rate,
-             "batch_size": cfg.batch_size, "max_epochs": cfg.max_epochs,
-             "patience": cfg.patience}
+             "mdn_components": MDN_COMPONENTS, "learning_rate": opts.learning_rate,
+             "batch_size": opts.batch_size, "max_epochs": opts.max_epochs,
+             "patience": opts.patience}
     return sha256_hex(canonical_json(parts))[:16]
 
 
@@ -216,11 +215,6 @@ def stage_pool(cfg: ExperimentConfig, out_dir: Path, task=None):
     pool = build_training_pool(task, cfg.n_train, cfg.master_seed)
     save_pool(pool, path)
     return pool, path
-
-
-def _train_options(cfg: ExperimentConfig) -> TrainOptions:
-    return TrainOptions(learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-                        max_epochs=cfg.max_epochs, patience=cfg.patience)
 
 
 def stage_decoder(cfg: ExperimentConfig, out_dir: Path, pool=None, task=None):
@@ -252,7 +246,7 @@ def stage_engine(cfg: ExperimentConfig, out_dir: Path, pool=None, task=None):
     else:
         if pool is None:
             pool, _ = stage_pool(cfg, out_dir, task=task)
-        engine, _report = train_mdn(pool, cfg.mdn_components,
+        engine, _report = train_mdn(pool, MDN_COMPONENTS,
                                     derive_rng(cfg.master_seed, "mdn"),
                                     opts=_train_options(cfg))
     engine_save(engine, path)
@@ -309,7 +303,6 @@ def _eval_item(item):
 
     lines = []
     for method in cfg.methods:
-        t0 = time.perf_counter()
         if method == "npe_plain":
             s_query = s_tilde
         else:
@@ -317,7 +310,6 @@ def _eval_item(item):
             s_query = result.s_star
         samples = posterior_sample(engine, s_query, cfg.n_posterior_samples,
                                    derive_rng(seed, "posterior", cell_idx, j, method))
-        wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
 
         row_rmse = rmse(samples, theta_star)
         row_cov = coverage(samples, theta_star, alpha=cfg.coverage_alpha)
@@ -329,7 +321,7 @@ def _eval_item(item):
             task.name, method, _format_float(cell["eps"]), _format_float(cell["delta"]),
             str(j), _format_float(row_rmse), _format_float(row_cov), row_pmmd,
             _format_float(row_pred), _format_float(row_dist),
-            "true" if flagged else "false", _format_float(wall_ms),
+            "true" if flagged else "false",
         ]))
     return lines, (decoder_hash(dec), engine_hash(engine))
 
@@ -461,7 +453,7 @@ def _evaluate_to_csv(cfg: ExperimentConfig, task, dec, engine, csv_path: Path,
 # ---------------------------------------------------------------------------
 
 _NUMERIC_COLS = ("rmse", "coverage", "posterior_mmd", "predictive_mmd",
-                 "summary_oracle_dist", "wall_time_ms")
+                 "summary_oracle_dist")
 
 
 def read_results_csv(path):

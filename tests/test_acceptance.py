@@ -404,8 +404,7 @@ def test_criterion_11_determinism_and_amortization():
     crit = Criterion(11, "identical configs give identical bytes; models stay frozen",
                      budget_s=120.0)
     raw = {"task": "gaussian", "d": 2, "n_obs": 15, "n_train": 400,
-           "n_features": 32, "mdn_components": 2,
-           "max_epochs": 10, "patience": 4,
+           "n_features": 32, "max_epochs": 10, "patience": 4,
            "n_test_datasets": 4, "n_posterior_samples": 200, "n_predictive": 30,
            "contamination": [{"eps": 0.0}, {"eps": 0.3, "delta": 3.0}],
            "master_seed": MASTER_SEED}

@@ -36,7 +36,7 @@ def config_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def bench_run(config_path, tmp_path_factory, capfdbinary=None):
     out = tmp_path_factory.mktemp("cli_run")
-    code = main(["bench", "--config", str(config_path), "--out-dir", str(out)])
+    code = main(["evaluate", "--config", str(config_path), "--out-dir", str(out)])
     assert code == EXIT_OK
     return out
 
@@ -171,14 +171,20 @@ def test_calibrate_is_not_a_subcommand(config_path, tmp_path, capsys):
     assert "invalid choice: 'calibrate'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cmd", ["evaluate", "bench"])
-def test_evaluate_and_bench_take_jobs_and_no_gate(bench_run, config_path, tmp_path, capsys,
-                                                  cmd):
-    # a copy of the cached models serves both; --no-gate changes the config
+def test_bench_is_not_a_subcommand(config_path, tmp_path, capsys):
+    # evaluate is the one name for the full pipeline
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--config", str(config_path), "--out-dir", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_evaluate_takes_jobs_and_no_gate(bench_run, config_path, tmp_path, capsys):
+    # a copy of the cached models serves it; --no-gate changes the config
     # hash, so this evaluates the grid once more, in two worker processes
     out = tmp_path / "run"
     shutil.copytree(bench_run, out)
-    code = main([cmd, "--config", str(config_path), "--out-dir", str(out),
+    code = main(["evaluate", "--config", str(config_path), "--out-dir", str(out),
                  "--jobs", "2", "--no-gate"])
     assert code == EXIT_OK
     key = config_hash(config_from_dict({**TINY, "gate": False}))[:16]
@@ -190,7 +196,7 @@ def test_verify_subcommand(bench_run, config_path, tmp_path, capsys):
     fdir.mkdir(parents=True)
     shutil.copyfile(config_path, fdir / "config.json")
     (fdir / "tolerances.json").write_text(
-        json.dumps({"columns": {"wall_time_ms": {"ignore": True}}}), encoding="utf-8")
+        json.dumps({"columns": {}}), encoding="utf-8")
     shutil.copyfile(bench_run / "results.csv", fdir / "expected.csv")
 
     code = main(["verify", "--fixtures", str(tmp_path / "fixtures"),
@@ -217,6 +223,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     p.write_text(json.dumps({"task": "gaussian", "bogus": 1}), encoding="utf-8")
     assert main(["evaluate", "--config", str(p), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "evaluate"])
+def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, cmd):
+    # a fractional count is a config error, not a crash inside a stage
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({**TINY, "n_obs": 10.5}), encoding="utf-8")
+    assert main([cmd, "--config", str(p), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "n_obs must be a positive integer" in capsys.readouterr().err
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

@@ -36,7 +36,6 @@ TOLERANCES = {"columns": {
     "posterior_mmd": {"rel": 0.1, "abs": 1e-6},
     "predictive_mmd": {"rel": 0.1, "abs": 1e-6},
     "summary_oracle_dist": {"rel": 0.05, "abs": 1e-9},
-    "wall_time_ms": {"ignore": True},
 }}
 
 

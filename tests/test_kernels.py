@@ -363,9 +363,13 @@ def test_mmd2_exact_matches_three_temporary_formula():
 
 
 def test_mmd2_exact_symmetry_and_validation():
+    # swapping the samples sums the cross term in another order, so the
+    # value agrees to roundoff, not bit for bit
     rng = derive_rng(18, "mmd")
-    x, y = rng.standard_normal((10, 2)), rng.standard_normal((15, 2))
-    assert mmd2_exact(1.0, x, y) == mmd2_exact(1.0, y, x)
+    for _ in range(20):
+        n_x, n_y = rng.integers(20, 401, size=2)
+        x, y = rng.standard_normal((n_x, 2)), rng.standard_normal((n_y, 2)) + 0.5
+        assert mmd2_exact(1.3, x, y) == pytest.approx(mmd2_exact(1.3, y, x), rel=1e-12)
     with pytest.raises(ValueError):
         mmd2_exact(1.0, x, rng.standard_normal((5, 3)))
     with pytest.raises(ValueError):
