@@ -130,6 +130,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(cfg.contamination, list) or not cfg.contamination:
         raise ValueError("contamination must be a non-empty list of cells")
     cells = []
+    kind = default_kind(cfg.task)
     for cell in cfg.contamination:
         if not isinstance(cell, dict):
             raise ValueError(f"contamination cells must be mappings, got {cell!r}")
@@ -139,11 +140,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         for name in ("eps", "delta"):
             if not _is_number(cell.get(name, 0.0)):
                 raise ValueError(f"contamination {name} must be a number, got {cell[name]!r}")
-        cells.append({"kind": cell.get("kind", default_kind(cfg.task)),
-                      "eps": float(cell.get("eps", 0.0)),
+        if cell.get("kind", kind) != kind:
+            raise ValueError(f"contamination kind {cell['kind']!r} does not apply to task "
+                             f"{cfg.task!r}, whose kind is {kind!r}")
+        cells.append({"kind": kind, "eps": float(cell.get("eps", 0.0)),
                       "delta": float(cell.get("delta", 0.0))})
     cfg.contamination = cells
-    # eager validation of kind/eps ranges
+    # eager validation of eps ranges
     for cell in cells:
         ContaminationSpec(kind=cell["kind"], eps=cell["eps"], delta=cell["delta"])
     return cfg

@@ -1,9 +1,11 @@
 """Benchmark simulators and their hand-crafted summary statistics.
 
-Each task bundles a prior, two simulators and a fixed summary function.
-simulate(theta, rng) produces one dataset from one parameter (N rows, one
-row per observation or trajectory) and validates that the parameter lies in
-the prior support. simulate_raw(thetas, rng) is batched and unchecked: it
+Each task bundles a prior, three simulators and a fixed summary function.
+simulate_many(thetas, rngs) produces one dataset (N rows, one row per
+observation or trajectory) per parameter, dataset m drawing its noise
+from rngs[m] alone; it checks shapes but not the prior support.
+simulate(theta, rng) is the support check plus a one-dataset
+simulate_many call. simulate_raw(thetas, rng) is batched and unchecked: it
 takes (n, theta_dim) parameters and returns (n, obs_dim), one observation
 row per parameter, so posterior-predictive resampling can probe
 out-of-prior parameters in one call. It draws its noise row-major (all of
@@ -11,15 +13,19 @@ row 0, then row 1, ...), so its output is bit-identical to n sequential
 single-row simulations.
 
 The OU and SIR tasks share one Euler loop each, driven by a pre-drawn noise
-block of shape (horizon, n_traj) whose draw order the caller picks:
-step-major for a dataset or contamination block from one parameter,
-row-major (transposed) for predictive rows. A numpy Generator gives the
-same values for one large draw as for successive small ones. Trajectory
-values are clipped at +-1e30 to keep explosive off-prior dynamics finite.
+block of shape (horizon, n_traj) and one parameter per path. The caller
+picks the draw order: step-major per dataset (each dataset's block side by
+side) for datasets and contamination blocks, row-major (transposed) for
+predictive rows. A numpy Generator gives the same values for one large
+draw as for successive small ones, and every step is element-wise, so a
+path does not depend on the other paths of its call. Trajectory values are
+clipped at +-1e30 to keep explosive off-prior dynamics finite.
 
-All randomness flows through numpy Generators; build_training_pool derives
-one child stream per dataset index so pools are reproducible under any
-execution order.
+All randomness flows through numpy Generators. build_training_pool gives
+record i its own stream derive_rng(master_seed, "pool", i), which draws the
+prior sample first and then the dataset's noise block, so the pool does
+not depend on how the records are chunked or ordered. It simulates one
+chunk of records per simulate_many call.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import numpy as np
 from .util import derive_rng
 
 TRAJECTORY_CLIP = 1e30
+_POOL_CHUNK_ELEMS = 2 ** 20  # dataset values per simulate_many call of a pool
 
 
 @dataclass
@@ -45,6 +52,9 @@ class TaskSpec:
     params: dict
     prior_sample: Callable
     simulate: Callable  # (theta, rng) -> (n_obs, obs_dim), validates support
+    # (thetas (M, theta_dim), rngs (M,)) -> (M, n_obs, obs_dim): dataset m is
+    # simulate(thetas[m], rngs[m]) bit for bit, without the support check
+    simulate_many: Callable
     # (thetas (n, theta_dim), rng) -> (n, obs_dim): one row per parameter,
     # noise drawn row-major, no support check
     simulate_raw: Callable
@@ -68,10 +78,19 @@ def _check_dataset(data, n_obs, obs_dim, name):
     return x
 
 
-def _check_thetas(thetas, theta_dim):
+def _check_thetas(thetas, theta_dim, rngs=None):
     t = np.asarray(thetas, dtype=np.float64)
     if t.ndim != 2 or t.shape[1] != theta_dim:
         raise ValueError(f"thetas must have shape (n, {theta_dim}), got {t.shape}")
+    if rngs is not None and len(rngs) != t.shape[0]:
+        raise ValueError(f"expected one rng per parameter, got {len(rngs)} for {t.shape[0]}")
+    return t
+
+
+def _check_theta(theta, theta_dim):
+    t = np.asarray(theta, dtype=np.float64)
+    if t.shape != (theta_dim,):
+        raise ValueError(f"theta must have shape ({theta_dim},), got {t.shape}")
     return t
 
 
@@ -87,11 +106,14 @@ def gaussian_task(d: int = 2, n_obs: int = 100) -> TaskSpec:
     def prior_sample(rng):
         return rng.standard_normal(d)
 
+    def simulate_many(thetas, rngs):
+        t = _check_thetas(thetas, d, rngs)
+        data = np.stack([rng.standard_normal((n_obs, d)) for rng in rngs])
+        data += t[:, None, :]
+        return data
+
     def simulate(theta, rng):
-        t = np.asarray(theta, dtype=np.float64)
-        if t.shape != (d,):
-            raise ValueError(f"theta must have shape ({d},), got {t.shape}")
-        return t + rng.standard_normal((n_obs, d))
+        return simulate_many(_check_theta(theta, d)[None], [rng])[0]
 
     def simulate_raw(thetas, rng):
         t = _check_thetas(thetas, d)
@@ -103,8 +125,8 @@ def gaussian_task(d: int = 2, n_obs: int = 100) -> TaskSpec:
     return TaskSpec(
         name="gaussian", theta_dim=d, obs_dim=d, n_obs=n_obs, summary_dim=d,
         params={"d": d, "n_obs": n_obs},
-        prior_sample=prior_sample, simulate=simulate, simulate_raw=simulate_raw,
-        summary=summary,
+        prior_sample=prior_sample, simulate=simulate, simulate_many=simulate_many,
+        simulate_raw=simulate_raw, summary=summary,
     )
 
 
@@ -154,18 +176,23 @@ def factor_task(obs_dim: int = 5, n_obs: int = 100,
     def prior_sample(rng):
         return rng.standard_normal(2)
 
+    def means(t):
+        # one a @ theta per parameter: a single t @ a.T rounds some
+        # entries differently in the last bit
+        return np.array([a @ row for row in t]).reshape(t.shape[0], obs_dim)
+
+    def simulate_many(thetas, rngs):
+        t = _check_thetas(thetas, 2, rngs)
+        data = np.stack([rng.standard_normal((n_obs, obs_dim)) for rng in rngs])
+        data += means(t)[:, None, :]
+        return data
+
     def simulate(theta, rng):
-        t = np.asarray(theta, dtype=np.float64)
-        if t.shape != (2,):
-            raise ValueError(f"theta must have shape (2,), got {t.shape}")
-        return a @ t + rng.standard_normal((n_obs, obs_dim))
+        return simulate_many(_check_theta(theta, 2)[None], [rng])[0]
 
     def simulate_raw(thetas, rng):
         t = _check_thetas(thetas, 2)
-        # one a @ theta per row, as simulate computes it: a single
-        # t @ a.T rounds some entries differently in the last bit
-        means = np.array([a @ row for row in t]).reshape(t.shape[0], obs_dim)
-        return means + rng.standard_normal((t.shape[0], obs_dim))
+        return means(t) + rng.standard_normal((t.shape[0], obs_dim))
 
     def summary(data):
         xbar = _check_dataset(data, n_obs, obs_dim, "factor_task").mean(axis=0)
@@ -174,8 +201,8 @@ def factor_task(obs_dim: int = 5, n_obs: int = 100,
     return TaskSpec(
         name="factor", theta_dim=2, obs_dim=obs_dim, n_obs=n_obs, summary_dim=2,
         params={"obs_dim": obs_dim, "n_obs": n_obs, "loading": a.tolist()},
-        prior_sample=prior_sample, simulate=simulate, simulate_raw=simulate_raw,
-        summary=summary,
+        prior_sample=prior_sample, simulate=simulate, simulate_many=simulate_many,
+        simulate_raw=simulate_raw, summary=summary,
     )
 
 
@@ -217,6 +244,18 @@ def simulate_oup_trajectories(theta, n_traj: int, horizon: int, rng: np.random.G
     return _oup_paths(theta, rng.standard_normal((horizon, n_traj)), sigma2)
 
 
+def _trajectory_datasets(paths, thetas: np.ndarray, rngs, n_obs: int,
+                         horizon: int) -> np.ndarray:
+    """n_obs paths per parameter from one paths call, as (M, n_obs, horizon).
+
+    rngs[m] draws dataset m's step-major (horizon, n_obs) noise block, and
+    the blocks sit side by side, so dataset m is what one dataset's own call
+    would give.
+    """
+    noise = np.concatenate([rng.standard_normal((horizon, n_obs)) for rng in rngs], axis=1)
+    return paths(np.repeat(thetas, n_obs, axis=0), noise).reshape(len(rngs), n_obs, horizon)
+
+
 def _lag1_corr(a: np.ndarray, b: np.ndarray) -> float:
     # Pearson correlation, 0 when either side is degenerate
     sa, sb = a.std(), b.std()
@@ -224,6 +263,16 @@ def _lag1_corr(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     c = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
     return c if np.isfinite(c) else 0.0
+
+
+def _lag1_corr_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_lag1_corr of each row of a with the same row of b (both (n, m)),
+    with the same value bit for bit."""
+    sa, sb = a.std(axis=1), b.std(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (np.mean((a - a.mean(axis=1, keepdims=True)) * (b - b.mean(axis=1, keepdims=True)),
+                     axis=1) / (sa * sb))
+    return np.where((sa == 0.0) | (sb == 0.0) | ~np.isfinite(c), 0.0, c)
 
 
 def oup_task(n_obs: int = 100, horizon: int = 25) -> TaskSpec:
@@ -243,13 +292,15 @@ def oup_task(n_obs: int = 100, horizon: int = 25) -> TaskSpec:
         t = _check_thetas(thetas, 2)
         return _oup_paths(t, rng.standard_normal((t.shape[0], horizon)).T)
 
+    def simulate_many(thetas, rngs):
+        t = _check_thetas(thetas, 2, rngs)
+        return _trajectory_datasets(_oup_paths, t, rngs, n_obs, horizon)
+
     def simulate(theta, rng):
-        t = np.asarray(theta, dtype=np.float64)
-        if t.shape != (2,):
-            raise ValueError(f"theta must have shape (2,), got {t.shape}")
+        t = _check_theta(theta, 2)
         if not (lo1 <= t[0] <= hi1 and lo2 <= t[1] <= hi2):
             raise ValueError(f"theta {t.tolist()} outside the prior box {OUP_BOUNDS}")
-        return simulate_oup_trajectories(t, n_obs, horizon, rng)
+        return simulate_many(t[None], [rng])[0]
 
     def summary(data):
         x = _check_dataset(data, n_obs, horizon, "oup_task")
@@ -261,8 +312,8 @@ def oup_task(n_obs: int = 100, horizon: int = 25) -> TaskSpec:
     return TaskSpec(
         name="oup", theta_dim=2, obs_dim=horizon, n_obs=n_obs, summary_dim=3,
         params={"n_obs": n_obs, "horizon": horizon},
-        prior_sample=prior_sample, simulate=simulate, simulate_raw=simulate_raw,
-        summary=summary,
+        prior_sample=prior_sample, simulate=simulate, simulate_many=simulate_many,
+        simulate_raw=simulate_raw, summary=summary,
     )
 
 
@@ -301,7 +352,7 @@ def _sir_paths(theta, noise: np.ndarray, sigma: float = SIR_SIGMA, eta: float = 
     r = np.full(n_traj, SIR_INIT[2])
     r0 = np.full(n_traj, r0_bar)
     out = np.empty((n_traj, horizon))
-    pre_clip_sums = np.empty((n_traj, horizon))
+    pre_clip_sums = np.empty((n_traj, horizon)) if return_compartments else None
     for t in range(horizon):
         beta_eff = gamma * r0
         flow_si = beta_eff * s * i * dt
@@ -310,7 +361,8 @@ def _sir_paths(theta, noise: np.ndarray, sigma: float = SIR_SIGMA, eta: float = 
         s_new = s - flow_si
         i_new = i + flow_si - flow_ir
         r_new = r + flow_ir
-        pre_clip_sums[:, t] = s_new + i_new + r_new
+        if return_compartments:
+            pre_clip_sums[:, t] = s_new + i_new + r_new
         s = np.clip(s_new, 0.0, 1.0)
         i = np.clip(i_new, 0.0, 1.0)
         r = np.clip(r_new, 0.0, 1.0)
@@ -320,28 +372,28 @@ def _sir_paths(theta, noise: np.ndarray, sigma: float = SIR_SIGMA, eta: float = 
     return out
 
 
-def simulate_sir_trajectories(theta, n_traj: int, horizon: int, rng: np.random.Generator,
-                              sigma: float = SIR_SIGMA, eta: float = SIR_ETA,
-                              dt: float = 1.0, return_compartments: bool = False):
-    """n_traj SIR paths from one parameter, noise drawn step-major (see _sir_paths)."""
-    return _sir_paths(theta, rng.standard_normal((horizon, n_traj)), sigma, eta, dt,
-                      return_compartments)
+def _sir_row_summaries(x: np.ndarray) -> np.ndarray:
+    """The six SIR statistics of every row of x (n, horizon), as (n, 6).
 
-
-def _sir_trajectory_summary(x: np.ndarray) -> np.ndarray:
-    total = x.sum()
-    if total > 0.0:
-        half_day = int(np.searchsorted(np.cumsum(x), 0.5 * total))
-    else:
-        half_day = 0
-    return np.array([
-        np.log1p(x.mean()),
-        np.log1p(np.median(x)),
-        np.log1p(x.max()),
-        np.log1p(np.argmax(x)),
+    Per row: log1p of the mean, the median, the peak and the peak day; log1p
+    of the half day; and the lag-1 autocorrelation. The half day is the
+    first day whose running total reaches half the row's total, the horizon
+    if no day does (possible only with negative counts), and 0 when the
+    total is not positive. On non-negative rows the running total never
+    falls, so this is the day at which it crosses half the total.
+    """
+    total = x.sum(axis=1)
+    reached = np.cumsum(x, axis=1) >= (0.5 * total)[:, None]
+    half_day = np.where(reached.any(axis=1), reached.argmax(axis=1), x.shape[1])
+    half_day[~(total > 0.0)] = 0
+    return np.stack([
+        np.log1p(x.mean(axis=1)),
+        np.log1p(np.median(x, axis=1)),
+        np.log1p(x.max(axis=1)),
+        np.log1p(np.argmax(x, axis=1)),
         np.log1p(half_day),
-        _lag1_corr(x[:-1], x[1:]),
-    ])
+        _lag1_corr_rows(x[:, :-1], x[:, 1:]),
+    ], axis=1)
 
 
 def sir_task(n_obs: int = 100, horizon: int = 365) -> TaskSpec:
@@ -359,26 +411,27 @@ def sir_task(n_obs: int = 100, horizon: int = 365) -> TaskSpec:
         t = _check_thetas(thetas, 2)
         return _sir_paths(t, rng.standard_normal((t.shape[0], horizon)).T)
 
+    def simulate_many(thetas, rngs):
+        t = _check_thetas(thetas, 2, rngs)
+        return _trajectory_datasets(_sir_paths, t, rngs, n_obs, horizon)
+
     def simulate(theta, rng):
-        t = np.asarray(theta, dtype=np.float64)
-        if t.shape != (2,):
-            raise ValueError(f"theta must have shape (2,), got {t.shape}")
+        t = _check_theta(theta, 2)
         if not (0.0 < t[1] < t[0] < SIR_RATE_MAX):
             raise ValueError(
                 f"theta {t.tolist()} violates the prior constraint 0 < gamma < beta < {SIR_RATE_MAX}"
             )
-        return simulate_sir_trajectories(t, n_obs, horizon, rng)
+        return simulate_many(t[None], [rng])[0]
 
     def summary(data):
         x = _check_dataset(data, n_obs, horizon, "sir_task")
-        rows = np.stack([_sir_trajectory_summary(row) for row in x])
-        return rows.mean(axis=0)
+        return _sir_row_summaries(x).mean(axis=0)
 
     return TaskSpec(
         name="sir", theta_dim=2, obs_dim=horizon, n_obs=n_obs, summary_dim=6,
         params={"n_obs": n_obs, "horizon": horizon},
-        prior_sample=prior_sample, simulate=simulate, simulate_raw=simulate_raw,
-        summary=summary,
+        prior_sample=prior_sample, simulate=simulate, simulate_many=simulate_many,
+        simulate_raw=simulate_raw, summary=summary,
     )
 
 
@@ -406,21 +459,25 @@ def make_task(name: str, **params) -> TaskSpec:
 def build_training_pool(task: TaskSpec, n_datasets: int, master_seed: int) -> TrainingPool:
     """Simulate (theta_i, dataset_i, summary_i) triples for i < n_datasets.
 
-    Each record uses its own RNG stream derived from (master_seed, index),
-    so the pool is identical no matter how the loop is chunked.
+    Record i draws its prior sample and then its dataset from its own
+    stream derive_rng(master_seed, "pool", i). Records are simulated in
+    chunks of about _POOL_CHUNK_ELEMS dataset values, one simulate_many call
+    per chunk, so the pool is identical however it is chunked.
     """
     if n_datasets < 1:
         raise ValueError(f"n_datasets must be positive, got {n_datasets}")
     thetas = np.empty((n_datasets, task.theta_dim))
     datasets = np.empty((n_datasets, task.n_obs, task.obs_dim))
     summaries = np.empty((n_datasets, task.summary_dim))
-    for i in range(n_datasets):
-        rng = derive_rng(master_seed, "pool", i)
-        theta = task.prior_sample(rng)
-        data = task.simulate(theta, rng)
-        thetas[i] = theta
-        datasets[i] = data
-        summaries[i] = task.summary(data)
+    per = max(1, _POOL_CHUNK_ELEMS // (task.n_obs * task.obs_dim))
+    for start in range(0, n_datasets, per):
+        stop = min(start + per, n_datasets)
+        rngs = [derive_rng(master_seed, "pool", i) for i in range(start, stop)]
+        for i, rng in enumerate(rngs, start):
+            thetas[i] = task.prior_sample(rng)
+        datasets[start:stop] = task.simulate_many(thetas[start:stop], rngs)
+        for i in range(start, stop):
+            summaries[i] = task.summary(datasets[i])
     return TrainingPool(task_name=task.name, params=dict(task.params),
                         master_seed=master_seed, thetas=thetas,
                         datasets=datasets, summaries=summaries)

@@ -4,7 +4,10 @@ The oracles are independent routes to quantities the library computes with
 learned components, kept deliberately simple so they can be trusted. The
 probes (mlp_backward, mdn_log_prob, posterior_moments,
 posterior_kl_analytic) read the library's models through the same code
-paths the library uses, but nothing in the library needs them.
+paths the library uses, but nothing in the library needs them. The
+simulation references (reference_pool, sir_trajectory_summary) are the
+per-record and per-row loops that the batched pool and the row-wise SIR
+summary must reproduce bit for bit.
 """
 
 import numpy as np
@@ -13,8 +16,9 @@ from mdsum.inference import (AnalyticGaussianEngine, DecoderEmbedding, HoldoutRe
                              MdnEngine, PosteriorEngine, mdn_parameters)
 from mdsum.kernels import FeatureMap
 from mdsum.nn import Mlp, backward_from_output_grad, forward_batch, mlp_init, mse_loss_grad
-from mdsum.simulators import gaussian_posterior
-from mdsum.util import NumericalError
+from mdsum.simulators import (SIR_ETA, SIR_SIGMA, _lag1_corr, _sir_paths,
+                              gaussian_posterior, simulate_oup_trajectories)
+from mdsum.util import NumericalError, derive_rng
 
 
 def closed_form_embedding(fm, s, n_obs):
@@ -120,3 +124,67 @@ def posterior_kl_analytic(engine_a: PosteriorEngine, engine_b: PosteriorEngine,
     mb, vb = gaussian_posterior(np.asarray(s_b, dtype=np.float64), engine_b.n_obs)
     dm = mb - ma
     return float(0.5 * (d * va / vb + (dm @ dm) / vb - d + d * np.log(vb / va)))
+
+
+# ---------------------------------------------------------------------------
+# simulation references
+# ---------------------------------------------------------------------------
+
+def simulate_sir_trajectories(theta, n_traj, horizon, rng, sigma=SIR_SIGMA, eta=SIR_ETA,
+                              dt=1.0, return_compartments=False):
+    """n_traj SIR paths from one parameter, noise drawn step-major."""
+    return _sir_paths(theta, rng.standard_normal((horizon, n_traj)), sigma, eta, dt,
+                      return_compartments)
+
+
+def sir_trajectory_summary(x) -> np.ndarray:
+    """The six SIR statistics of one trajectory, one row at a time; its
+    half day is searchsorted on the running total."""
+    total = x.sum()
+    if total > 0.0:
+        half_day = int(np.searchsorted(np.cumsum(x), 0.5 * total))
+    else:
+        half_day = 0
+    return np.array([
+        np.log1p(x.mean()),
+        np.log1p(np.median(x)),
+        np.log1p(x.max()),
+        np.log1p(np.argmax(x)),
+        np.log1p(half_day),
+        _lag1_corr(x[:-1], x[1:]),
+    ])
+
+
+def reference_dataset(task, theta, rng):
+    """One dataset from one parameter, drawn as a single-dataset simulator
+    draws it: the (n_obs, obs_dim) or step-major (horizon, n_obs) noise
+    block from rng, with theta a scalar parameter of every path."""
+    if task.name == "gaussian":
+        return theta + rng.standard_normal((task.n_obs, task.obs_dim))
+    if task.name == "factor":
+        a = np.asarray(task.params["loading"])
+        return a @ theta + rng.standard_normal((task.n_obs, task.obs_dim))
+    if task.name == "oup":
+        return simulate_oup_trajectories(theta, task.n_obs, task.obs_dim, rng)
+    return simulate_sir_trajectories(theta, task.n_obs, task.obs_dim, rng)
+
+
+def reference_summary(task, data):
+    if task.name == "sir":
+        return np.stack([sir_trajectory_summary(row) for row in data]).mean(axis=0)
+    return task.summary(data)
+
+
+def reference_pool(task, n_datasets, master_seed):
+    """(thetas, datasets, summaries) of a pool, one record at a time: record
+    i draws its prior sample and then its dataset from
+    derive_rng(master_seed, "pool", i)."""
+    thetas, datasets, summaries = [], [], []
+    for i in range(n_datasets):
+        rng = derive_rng(master_seed, "pool", i)
+        theta = task.prior_sample(rng)
+        data = reference_dataset(task, theta, rng)
+        thetas.append(theta)
+        datasets.append(data)
+        summaries.append(reference_summary(task, data))
+    return np.stack(thetas), np.stack(datasets), np.stack(summaries)

@@ -85,6 +85,23 @@ def test_config_rejects_bad_values():
         config_from_dict([1, 2, 3])
 
 
+@pytest.mark.parametrize("task, kind, applies", [
+    ("gaussian", "offprior_trajectories", "row_outliers"),
+    ("sir", "row_outliers", "weekend_underreporting"),
+    ("oup", "weekend_underreporting", "offprior_trajectories"),
+    ("factor", "mystery", "row_outliers"),
+])
+def test_config_rejects_a_contamination_kind_of_another_task(task, kind, applies):
+    # each task has one contamination kind; another one used to load and
+    # fail only at the evaluate stage, after every model was trained
+    with pytest.raises(ValueError, match=f"does not apply to task '{task}', "
+                                         f"whose kind is '{applies}'"):
+        config_from_dict({"task": task, "contamination": [{"eps": 0.0},
+                                                          {"kind": kind, "eps": 0.2}]})
+    named = config_from_dict({"task": task, "contamination": [{"kind": applies, "eps": 0.2}]})
+    assert named == config_from_dict({"task": task, "contamination": [{"eps": 0.2}]})
+
+
 def test_config_has_no_optimizer_key():
     # L-BFGS is the one query-time optimizer; the removed key is an error
     with pytest.raises(ValueError, match="unknown config keys: optimizer"):

@@ -1,13 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from helpers import (reference_dataset, reference_pool, simulate_sir_trajectories,
+                     sir_trajectory_summary)
+from mdsum import simulators
+from mdsum.contamination import contaminate_sir
 from mdsum.simulators import (
     OUP_BOUNDS,
     OUP_X0,
     SIR_POPULATION,
     SIR_RATE_MAX,
     TRAJECTORY_CLIP,
+    _sir_paths,
+    _sir_row_summaries,
     build_training_pool,
     factor_task,
     gaussian_posterior,
@@ -17,7 +25,6 @@ from mdsum.simulators import (
     oup_task,
     save_pool,
     simulate_oup_trajectories,
-    simulate_sir_trajectories,
     sir_task,
 )
 from mdsum.util import derive_rng
@@ -241,12 +248,80 @@ def test_sir_support_check_and_prior():
                   & (draws[:, 0] < SIR_RATE_MAX))
 
 
+def test_sir_paths_output_does_not_depend_on_return_compartments():
+    thetas = np.array([[0.4, 0.1], [0.3, 0.2], [0.45, 0.05]])
+    noise = derive_rng(43, "compartments").standard_normal((120, 3))
+    out = _sir_paths(thetas, noise)
+    with_compartments, _, pre_clip = _sir_paths(thetas, noise, return_compartments=True)
+    assert out.tobytes() == with_compartments.tobytes()
+    assert pre_clip.shape == (3, 120)
+
+
 def test_sir_summary_shape_and_determinism():
     task = sir_task(n_obs=3, horizon=30)
     data = task.simulate(np.array([0.3, 0.1]), derive_rng(43, "sim"))
     s = task.summary(data)
     assert s.shape == (6,)
     assert np.array_equal(s, task.summary(data.copy()))
+
+
+def _sir_cases():
+    """Datasets of the SIR summary's parity test: clean, weekend-contaminated,
+    all-zero rows and constant rows."""
+    task = sir_task(n_obs=20, horizon=365)
+    rng = derive_rng(46, "sir-summary")
+    cases = []
+    for _ in range(6):
+        clean = task.simulate(task.prior_sample(rng), rng)
+        cases += [clean, contaminate_sir(clean, 0.5, rng)]
+    cases.append(np.zeros((20, 365)))
+    constant = np.repeat(np.arange(20, dtype=np.float64)[:, None] * 3.5, 365, axis=1)
+    cases.append(constant)  # row 0 all zero, the others constant and positive
+    mixed = cases[0].copy()
+    mixed[::3] = 0.0
+    cases.append(mixed)
+    return task, cases
+
+
+def test_sir_row_summaries_match_the_per_row_reference():
+    task, cases = _sir_cases()
+    for data in cases:
+        rows = _sir_row_summaries(data)
+        reference = np.stack([sir_trajectory_summary(row) for row in data])
+        assert rows.tobytes() == reference.tobytes()
+        assert task.summary(data).tobytes() == reference.mean(axis=0).tobytes()
+    constant = cases[-2]
+    assert np.all(_sir_row_summaries(constant)[:, 5] == 0.0)  # lag-1 correlation
+    assert np.all(_sir_row_summaries(cases[-3]) == 0.0)  # all-zero rows, half day 0
+
+
+def test_sir_summary_of_one_trajectory_matches_the_reference():
+    task = sir_task(n_obs=1, horizon=365)
+    rng = derive_rng(46, "one-row")
+    for _ in range(5):
+        data = task.simulate(task.prior_sample(rng), rng)
+        assert task.summary(data).tobytes() == sir_trajectory_summary(data[0]).tobytes()
+
+
+def test_sir_half_day_is_the_first_crossing_of_half_the_total():
+    # counts never go negative in simulated or contaminated data, but a
+    # caller may pass them; the half day is then the first day whose
+    # running total reaches half the total, which searchsorted on the
+    # non-monotone running total does not find
+    x = np.array([[3.0, -2.0, 2.0, 1.0],  # running total 3, 1, 3, 4: day 0
+                  [-1.0, 2.0, -1.0, 2.0],  # -1, 1, 0, 2: day 1
+                  [1.0, -1.0, -1.0, 0.5]])  # total -0.5 is not positive: 0
+    rows = _sir_row_summaries(x)
+    assert np.array_equal(rows[:, 4], np.log1p([0.0, 1.0, 0.0]))
+    assert sir_trajectory_summary(x[0])[4] != rows[0, 4]
+    # the other five statistics keep the reference's values
+    for row, ref in zip(rows, (sir_trajectory_summary(r) for r in x)):
+        assert np.array_equal(np.delete(row, 4), np.delete(ref, 4))
+    # no day reaches half the total: the horizon. The eight-way pairwise
+    # sum keeps the ones that the running total rounds away next to -1e17.
+    y = np.array([[-1e17] + [7.0] * 7 + [1e17] + [1.0] * 7])
+    assert y.sum() == 56.0 and np.cumsum(y).max() == 7.0
+    assert _sir_row_summaries(y)[0, 4] == np.log1p(16.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +360,68 @@ def test_simulate_raw_matches_single_row_loop(task):
     assert np.array_equal(batched, reference)
     with pytest.raises(ValueError):
         task.simulate_raw(thetas[0], ref_rng)  # one parameter, not a batch
+
+
+POOL_TASKS = [
+    gaussian_task(d=2, n_obs=5),
+    factor_task(obs_dim=4, n_obs=5, rng=derive_rng(48, "loading")),
+    oup_task(n_obs=4, horizon=8),
+    sir_task(n_obs=3, horizon=60),
+]
+
+# sha256 of the little-endian float64 bytes of thetas, datasets and
+# summaries of a 6-record pool with master seed 48, as the per-record loop
+# wrote them. The pool's cache key does not cover the code, so a change of
+# these bytes must fail here rather than be served from a stale cache.
+POOL_DIGESTS = {
+    "gaussian": "c63c61f35c00c08fa2b6cf0a1fa16b974e38596aa926d44e718a4f1f481a3f1c",
+    "factor": "a05bf4ecfaeb621f324fb5457e07a2f077e32012754139cca40fdc7e522942d2",
+    "oup": "649cdfdc3041f9af88d4d55219b22114ad5f0660ed0d7476f243a72586de9932",
+    "sir": "1516f9efa1e1cc8d73bd0742846eac0e06fe5b490244a177085a3977ffab188b",
+}
+
+
+@pytest.mark.parametrize("task", POOL_TASKS, ids=lambda t: t.name)
+def test_simulate_many_matches_one_dataset_calls(task):
+    rng = derive_rng(47, "thetas", task.name)
+    thetas = np.stack([task.prior_sample(rng) for _ in range(4)])
+    rngs = [derive_rng(47, "many", k) for k in range(4)]
+    many = task.simulate_many(thetas, rngs)
+    assert many.shape == (4, task.n_obs, task.obs_dim)
+    for m in range(4):
+        twin = derive_rng(47, "many", m)
+        assert task.simulate(thetas[m], twin).tobytes() == many[m].tobytes()
+        assert twin.bit_generator.state == rngs[m].bit_generator.state
+        reference = reference_dataset(task, thetas[m], derive_rng(47, "many", m))
+        assert reference.tobytes() == many[m].tobytes()
+    with pytest.raises(ValueError):
+        task.simulate_many(thetas, rngs[:3])  # one rng short
+    with pytest.raises(ValueError):
+        task.simulate_many(thetas[0], rngs[:1])  # one parameter, not a batch
+
+
+@pytest.mark.parametrize("task", POOL_TASKS, ids=lambda t: t.name)
+def test_training_pool_matches_the_per_record_loop(task, monkeypatch):
+    for n in (8, 1):
+        expected = reference_pool(task, n, 49)
+        pools = [build_training_pool(task, n, 49)]
+        # 3 records per chunk: 8 records span 3 chunks, the last one short
+        monkeypatch.setattr(simulators, "_POOL_CHUNK_ELEMS", 3 * task.n_obs * task.obs_dim)
+        pools.append(build_training_pool(task, n, 49))
+        monkeypatch.undo()
+        for pool in pools:
+            assert pool.thetas.tobytes() == expected[0].tobytes()
+            assert pool.datasets.tobytes() == expected[1].tobytes()
+            assert pool.summaries.tobytes() == expected[2].tobytes()
+
+
+@pytest.mark.parametrize("task", POOL_TASKS, ids=lambda t: t.name)
+def test_training_pool_golden_digest(task):
+    pool = build_training_pool(task, 6, 48)
+    digest = hashlib.sha256()
+    for a in (pool.thetas, pool.datasets, pool.summaries):
+        digest.update(a.astype("<f8").tobytes())
+    assert digest.hexdigest() == POOL_DIGESTS[task.name]
 
 
 # ---------------------------------------------------------------------------
