@@ -13,19 +13,20 @@ row 0, then row 1, ...), so its output is bit-identical to n sequential
 single-row simulations.
 
 The OU and SIR tasks share one Euler loop each, driven by a pre-drawn noise
-block of shape (horizon, n_traj) and one parameter per path. The caller
-picks the draw order: step-major per dataset (each dataset's block side by
-side) for datasets and contamination blocks, row-major (transposed) for
-predictive rows. A numpy Generator gives the same values for one large
-draw as for successive small ones, and every step is element-wise, so a
-path does not depend on the other paths of its call. Trajectory values are
-clipped at +-1e30 to keep explosive off-prior dynamics finite.
+block of shape (horizon, n_traj) and one parameter for all paths or one
+per path. The caller picks the draw order: step-major per dataset (the
+datasets' blocks side by side) for datasets and contamination blocks,
+row-major (transposed) for predictive rows. A numpy Generator gives the
+same values for one large draw as for successive small ones, and every
+step is element-wise, so a path does not depend on the other paths of its
+call. Trajectory values are clipped at +-1e30 to keep explosive off-prior
+dynamics finite.
 
 All randomness flows through numpy Generators. build_training_pool gives
 record i its own stream derive_rng(master_seed, "pool", i), which draws the
-prior sample first and then the dataset's noise block, so the pool does
-not depend on how the records are chunked or ordered. It simulates one
-chunk of records per simulate_many call.
+prior sample first and then the dataset's noise block, and simulates a
+chunk of records per simulate_many call; the pool does not depend on the
+chunking.
 """
 
 from __future__ import annotations
@@ -246,12 +247,8 @@ def simulate_oup_trajectories(theta, n_traj: int, horizon: int, rng: np.random.G
 
 def _trajectory_datasets(paths, thetas: np.ndarray, rngs, n_obs: int,
                          horizon: int) -> np.ndarray:
-    """n_obs paths per parameter from one paths call, as (M, n_obs, horizon).
-
-    rngs[m] draws dataset m's step-major (horizon, n_obs) noise block, and
-    the blocks sit side by side, so dataset m is what one dataset's own call
-    would give.
-    """
+    """n_obs paths per parameter from one paths call, as (M, n_obs, horizon);
+    rngs[m] draws dataset m's step-major (horizon, n_obs) noise block."""
     noise = np.concatenate([rng.standard_normal((horizon, n_obs)) for rng in rngs], axis=1)
     return paths(np.repeat(thetas, n_obs, axis=0), noise).reshape(len(rngs), n_obs, horizon)
 
