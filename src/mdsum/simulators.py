@@ -40,7 +40,7 @@ import numpy as np
 from .util import derive_rng
 
 TRAJECTORY_CLIP = 1e30
-_POOL_CHUNK_ELEMS = 2 ** 20  # dataset values per simulate_many call of a pool
+_POOL_CHUNK_ELEMS = 2 ** 20  # dataset values per simulate_many call of a pool (8 MB)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -328,17 +329,6 @@ def test_sir_half_day_is_the_first_crossing_of_half_the_total():
 # batched raw simulation
 # ---------------------------------------------------------------------------
 
-def one_row_reference(task, theta, rng):
-    """One observation row from one parameter, as a loop would draw it."""
-    if task.name == "gaussian":
-        return theta + rng.standard_normal((1, task.obs_dim))[0]
-    if task.name == "factor":
-        return np.asarray(task.params["loading"]) @ theta + rng.standard_normal(task.obs_dim)
-    if task.name == "oup":
-        return simulate_oup_trajectories(theta, 1, task.obs_dim, rng)[0]
-    return simulate_sir_trajectories(theta, 1, task.obs_dim, rng)[0]
-
-
 @pytest.mark.parametrize("task", [
     gaussian_task(d=3, n_obs=5),
     factor_task(obs_dim=7, n_obs=5, rng=derive_rng(45, "loading")),
@@ -355,7 +345,9 @@ def test_simulate_raw_matches_single_row_loop(task):
     thetas = np.vstack([on_prior, off_prior])
     batched = task.simulate_raw(thetas, derive_rng(45, "draws", task.name))
     ref_rng = derive_rng(45, "draws", task.name)
-    reference = np.stack([one_row_reference(task, t, ref_rng) for t in thetas])
+    # one observation row per parameter, as one-row datasets drawn in a loop
+    one_row = dataclasses.replace(task, n_obs=1)
+    reference = np.stack([reference_dataset(one_row, t, ref_rng)[0] for t in thetas])
     assert batched.shape == (thetas.shape[0], task.obs_dim)
     assert np.array_equal(batched, reference)
     with pytest.raises(ValueError):
