@@ -134,15 +134,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for cell in cfg.contamination:
         if not isinstance(cell, dict):
             raise ValueError(f"contamination cells must be mappings, got {cell!r}")
-        extra = sorted(set(cell) - {"kind", "eps", "delta"})
+        extra = sorted(set(cell) - {"eps", "delta"})
         if extra:
-            raise ValueError(f"unknown contamination keys: {', '.join(extra)}")
+            raise ValueError(f"unknown contamination keys: {', '.join(extra)} (a cell sets "
+                             f"eps and delta of the task's one kind, {kind!r})")
         for name in ("eps", "delta"):
             if not _is_number(cell.get(name, 0.0)):
                 raise ValueError(f"contamination {name} must be a number, got {cell[name]!r}")
-        if cell.get("kind", kind) != kind:
-            raise ValueError(f"contamination kind {cell['kind']!r} does not apply to task "
-                             f"{cfg.task!r}, whose kind is {kind!r}")
         cells.append({"kind": kind, "eps": float(cell.get("eps", 0.0)),
                       "delta": float(cell.get("delta", 0.0))})
     cfg.contamination = cells

@@ -1,26 +1,23 @@
 """Benchmark simulators and their hand-crafted summary statistics.
 
-Each task bundles a prior, three simulators and a fixed summary function.
-simulate_many(thetas, rngs) produces one dataset (N rows, one row per
-observation or trajectory) per parameter, dataset m drawing its noise
-from rngs[m] alone; it checks shapes but not the prior support.
-simulate(theta, rng) is the support check plus a one-dataset
-simulate_many call. simulate_raw(thetas, rng) is batched and unchecked: it
-takes (n, theta_dim) parameters and returns (n, obs_dim), one observation
-row per parameter, so posterior-predictive resampling can probe
-out-of-prior parameters in one call. It draws its noise row-major (all of
-row 0, then row 1, ...), so its output is bit-identical to n sequential
-single-row simulations.
+Each task bundles a prior, three simulators and a fixed summary function,
+and its simulators share one draw. simulate_many(thetas, rngs) produces one
+dataset (N rows, one row per observation or trajectory) per parameter,
+dataset m drawing its noise from rngs[m] alone; it checks shapes but not
+the prior support. simulate(theta, rng) is the support check plus a
+one-dataset simulate_many call. simulate_raw(thetas, rng) is the unchecked
+one-row case: it takes (n, theta_dim) parameters and returns (n, obs_dim),
+one observation row per parameter, each row drawing its noise from rng in
+turn, so posterior-predictive resampling can probe out-of-prior parameters
+in one call and gets the same rows as n sequential single-row simulations.
 
 The OU and SIR tasks share one Euler loop each, driven by a pre-drawn noise
 block of shape (horizon, n_traj) and one parameter for all paths or one
-per path. The caller picks the draw order: step-major per dataset (the
-datasets' blocks side by side) for datasets and contamination blocks,
-row-major (transposed) for predictive rows. A numpy Generator gives the
-same values for one large draw as for successive small ones, and every
-step is element-wise, so a path does not depend on the other paths of its
-call. Trajectory values are clipped at +-1e30 to keep explosive off-prior
-dynamics finite.
+per path. A dataset draws its block step-major; a batch of datasets puts
+the blocks side by side. A numpy Generator gives the same values for one
+large draw as for successive small ones, and every step is element-wise,
+so a path does not depend on the other paths of its call. Trajectory
+values are clipped at +-1e30 to keep explosive off-prior dynamics finite.
 
 All randomness flows through numpy Generators. build_training_pool gives
 record i its own stream derive_rng(master_seed, "pool", i), which draws the
@@ -57,7 +54,7 @@ class TaskSpec:
     # simulate(thetas[m], rngs[m]) bit for bit, without the support check
     simulate_many: Callable
     # (thetas (n, theta_dim), rng) -> (n, obs_dim): one row per parameter,
-    # noise drawn row-major, no support check
+    # the rows drawing from rng in turn, no support check
     simulate_raw: Callable
     summary: Callable  # (dataset) -> (summary_dim,)
 
@@ -95,6 +92,19 @@ def _check_theta(theta, theta_dim):
     return t
 
 
+def _batched(draw, n_obs):
+    """simulate_many and simulate_raw of a task from its draw(thetas, rngs,
+    rows) -> (M, rows, obs_dim), in which rngs[m] draws dataset m's noise.
+    simulate_raw is the one-row case, its rows drawing from one rng in turn."""
+    def simulate_many(thetas, rngs):
+        return draw(thetas, rngs, n_obs)
+
+    def simulate_raw(thetas, rng):
+        return draw(thetas, [rng] * len(thetas), 1)[:, 0]
+
+    return simulate_many, simulate_raw
+
+
 # ---------------------------------------------------------------------------
 # Gaussian location
 # ---------------------------------------------------------------------------
@@ -107,18 +117,16 @@ def gaussian_task(d: int = 2, n_obs: int = 100) -> TaskSpec:
     def prior_sample(rng):
         return rng.standard_normal(d)
 
-    def simulate_many(thetas, rngs):
+    def draw(thetas, rngs, rows):
         t = _check_thetas(thetas, d, rngs)
-        data = np.stack([rng.standard_normal((n_obs, d)) for rng in rngs])
+        data = np.stack([rng.standard_normal((rows, d)) for rng in rngs])
         data += t[:, None, :]
         return data
 
+    simulate_many, simulate_raw = _batched(draw, n_obs)
+
     def simulate(theta, rng):
         return simulate_many(_check_theta(theta, d)[None], [rng])[0]
-
-    def simulate_raw(thetas, rng):
-        t = _check_thetas(thetas, d)
-        return t + rng.standard_normal(t.shape)
 
     def summary(data):
         return _check_dataset(data, n_obs, d, "gaussian_task").mean(axis=0)
@@ -177,23 +185,18 @@ def factor_task(obs_dim: int = 5, n_obs: int = 100,
     def prior_sample(rng):
         return rng.standard_normal(2)
 
-    def means(t):
+    def draw(thetas, rngs, rows):
+        t = _check_thetas(thetas, 2, rngs)
+        data = np.stack([rng.standard_normal((rows, obs_dim)) for rng in rngs])
         # one a @ theta per parameter: a single t @ a.T rounds some
         # entries differently in the last bit
-        return np.array([a @ row for row in t]).reshape(t.shape[0], obs_dim)
-
-    def simulate_many(thetas, rngs):
-        t = _check_thetas(thetas, 2, rngs)
-        data = np.stack([rng.standard_normal((n_obs, obs_dim)) for rng in rngs])
-        data += means(t)[:, None, :]
+        data += np.array([a @ row for row in t]).reshape(t.shape[0], 1, obs_dim)
         return data
+
+    simulate_many, simulate_raw = _batched(draw, n_obs)
 
     def simulate(theta, rng):
         return simulate_many(_check_theta(theta, 2)[None], [rng])[0]
-
-    def simulate_raw(thetas, rng):
-        t = _check_thetas(thetas, 2)
-        return means(t) + rng.standard_normal((t.shape[0], obs_dim))
 
     def summary(data):
         xbar = _check_dataset(data, n_obs, obs_dim, "factor_task").mean(axis=0)
@@ -253,18 +256,9 @@ def _trajectory_datasets(paths, thetas: np.ndarray, rngs, n_obs: int,
     return paths(np.repeat(thetas, n_obs, axis=0), noise).reshape(len(rngs), n_obs, horizon)
 
 
-def _lag1_corr(a: np.ndarray, b: np.ndarray) -> float:
-    # Pearson correlation, 0 when either side is degenerate
-    sa, sb = a.std(), b.std()
-    if sa == 0.0 or sb == 0.0:
-        return 0.0
-    c = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
-    return c if np.isfinite(c) else 0.0
-
-
 def _lag1_corr_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_lag1_corr of each row of a with the same row of b (both (n, m)),
-    with the same value bit for bit."""
+    """Pearson correlation of each row of a with the same row of b (both
+    (n, m)), 0 where either row is constant or the value is not finite."""
     sa, sb = a.std(axis=1), b.std(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = (np.mean((a - a.mean(axis=1, keepdims=True)) * (b - b.mean(axis=1, keepdims=True)),
@@ -285,13 +279,11 @@ def oup_task(n_obs: int = 100, horizon: int = 25) -> TaskSpec:
     def prior_sample(rng):
         return rng.uniform([lo1, lo2], [hi1, hi2])
 
-    def simulate_raw(thetas, rng):
-        t = _check_thetas(thetas, 2)
-        return _oup_paths(t, rng.standard_normal((t.shape[0], horizon)).T)
-
-    def simulate_many(thetas, rngs):
+    def draw(thetas, rngs, rows):
         t = _check_thetas(thetas, 2, rngs)
-        return _trajectory_datasets(_oup_paths, t, rngs, n_obs, horizon)
+        return _trajectory_datasets(_oup_paths, t, rngs, rows, horizon)
+
+    simulate_many, simulate_raw = _batched(draw, n_obs)
 
     def simulate(theta, rng):
         t = _check_theta(theta, 2)
@@ -303,7 +295,7 @@ def oup_task(n_obs: int = 100, horizon: int = 25) -> TaskSpec:
         x = _check_dataset(data, n_obs, horizon, "oup_task")
         s1 = float(x.mean())
         s2 = float(x.var())
-        s3 = _lag1_corr(x[:, :-1].ravel(), x[:, 1:].ravel())
+        s3 = float(_lag1_corr_rows(x[:, :-1].ravel()[None], x[:, 1:].ravel()[None])[0])
         return np.array([s1, s2, s3])
 
     return TaskSpec(
@@ -404,13 +396,11 @@ def sir_task(n_obs: int = 100, horizon: int = 365) -> TaskSpec:
             if 0.0 < gamma < beta < SIR_RATE_MAX:
                 return np.array([beta, gamma])
 
-    def simulate_raw(thetas, rng):
-        t = _check_thetas(thetas, 2)
-        return _sir_paths(t, rng.standard_normal((t.shape[0], horizon)).T)
-
-    def simulate_many(thetas, rngs):
+    def draw(thetas, rngs, rows):
         t = _check_thetas(thetas, 2, rngs)
-        return _trajectory_datasets(_sir_paths, t, rngs, n_obs, horizon)
+        return _trajectory_datasets(_sir_paths, t, rngs, rows, horizon)
+
+    simulate_many, simulate_raw = _batched(draw, n_obs)
 
     def simulate(theta, rng):
         t = _check_theta(theta, 2)

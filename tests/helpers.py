@@ -5,9 +5,10 @@ learned components, kept deliberately simple so they can be trusted. The
 probes (mlp_backward, mdn_log_prob, posterior_moments,
 posterior_kl_analytic) read the library's models through the same code
 paths the library uses, but nothing in the library needs them. The
-simulation references (reference_pool, sir_trajectory_summary) are the
-per-record and per-row loops that the batched pool and the row-wise SIR
-summary must reproduce bit for bit.
+simulation references (reference_pool, sir_trajectory_summary,
+oup_summary) are the per-record and per-row loops and the scalar lag-1
+correlation that the batched pool and the row-wise summaries must
+reproduce bit for bit.
 """
 
 import numpy as np
@@ -16,8 +17,8 @@ from mdsum.inference import (AnalyticGaussianEngine, DecoderEmbedding, HoldoutRe
                              MdnEngine, PosteriorEngine, mdn_parameters)
 from mdsum.kernels import FeatureMap
 from mdsum.nn import Mlp, backward_from_output_grad, forward_batch, mlp_init, mse_loss_grad
-from mdsum.simulators import (SIR_ETA, SIR_SIGMA, _lag1_corr, _sir_paths,
-                              gaussian_posterior, simulate_oup_trajectories)
+from mdsum.simulators import (SIR_ETA, SIR_SIGMA, _sir_paths, gaussian_posterior,
+                              simulate_oup_trajectories)
 from mdsum.util import NumericalError, derive_rng
 
 
@@ -137,6 +138,16 @@ def simulate_sir_trajectories(theta, n_traj, horizon, rng, sigma=SIR_SIGMA, eta=
                       return_compartments)
 
 
+def lag1_corr(a, b) -> float:
+    """Pearson correlation of two vectors, 0 when either side is constant
+    or the value is not finite."""
+    sa, sb = a.std(), b.std()
+    if sa == 0.0 or sb == 0.0:
+        return 0.0
+    c = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+    return c if np.isfinite(c) else 0.0
+
+
 def sir_trajectory_summary(x) -> np.ndarray:
     """The six SIR statistics of one trajectory, one row at a time; its
     half day is searchsorted on the running total."""
@@ -151,7 +162,7 @@ def sir_trajectory_summary(x) -> np.ndarray:
         np.log1p(x.max()),
         np.log1p(np.argmax(x)),
         np.log1p(half_day),
-        _lag1_corr(x[:-1], x[1:]),
+        lag1_corr(x[:-1], x[1:]),
     ])
 
 
@@ -169,9 +180,18 @@ def reference_dataset(task, theta, rng):
     return simulate_sir_trajectories(theta, task.n_obs, task.obs_dim, rng)
 
 
+def oup_summary(x) -> np.ndarray:
+    """The OU summary of a dataset, its lag-1 correlation taken by
+    lag1_corr on the pooled pairs."""
+    return np.array([float(x.mean()), float(x.var()),
+                     lag1_corr(x[:, :-1].ravel(), x[:, 1:].ravel())])
+
+
 def reference_summary(task, data):
     if task.name == "sir":
         return np.stack([sir_trajectory_summary(row) for row in data]).mean(axis=0)
+    if task.name == "oup":
+        return oup_summary(data)
     return task.summary(data)
 
 

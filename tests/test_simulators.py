@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import (reference_dataset, reference_pool, simulate_sir_trajectories,
-                     sir_trajectory_summary)
+from helpers import (oup_summary, reference_dataset, reference_pool,
+                     simulate_sir_trajectories, sir_trajectory_summary)
 from mdsum import simulators
 from mdsum.contamination import contaminate_sir
 from mdsum.simulators import (
@@ -256,6 +256,16 @@ def test_sir_paths_output_does_not_depend_on_return_compartments():
     with_compartments, _, pre_clip = _sir_paths(thetas, noise, return_compartments=True)
     assert out.tobytes() == with_compartments.tobytes()
     assert pre_clip.shape == (3, 120)
+
+
+def test_oup_summary_matches_the_scalar_reference():
+    task = oup_task(n_obs=20, horizon=25)
+    rng = derive_rng(46, "oup-summary")
+    cases = [task.simulate(task.prior_sample(rng), rng) for _ in range(10)]
+    cases += [np.full((20, 25), OUP_X0), np.zeros((20, 25))]  # constant: correlation 0
+    for data in cases:
+        assert task.summary(data).tobytes() == oup_summary(data).tobytes()
+    assert task.summary(cases[-1])[2] == 0.0
 
 
 def test_sir_summary_shape_and_determinism():
