@@ -92,17 +92,28 @@ def _check_theta(theta, theta_dim):
     return t
 
 
-def _batched(draw, n_obs):
-    """simulate_many and simulate_raw of a task from its draw(thetas, rngs,
-    rows) -> (M, rows, obs_dim), in which rngs[m] draws dataset m's noise.
-    simulate_raw is the one-row case, its rows drawing from one rng in turn."""
+def _batched(draw, theta_dim, n_obs):
+    """simulate_many and simulate_raw of a task from its draw(t, rngs, rows)
+    -> (M, rows, obs_dim), which takes checked (M, theta_dim) parameters and
+    draws dataset m's noise from rngs[m]. simulate_raw is the one-row case,
+    its rows drawing from one rng in turn."""
     def simulate_many(thetas, rngs):
-        return draw(thetas, rngs, n_obs)
+        return draw(_check_thetas(thetas, theta_dim, rngs), rngs, n_obs)
 
     def simulate_raw(thetas, rng):
-        return draw(thetas, [rng] * len(thetas), 1)[:, 0]
+        t = _check_thetas(thetas, theta_dim)
+        return draw(t, [rng] * t.shape[0], 1)[:, 0]
 
     return simulate_many, simulate_raw
+
+
+def _noise_blocks(rngs, shape) -> np.ndarray:
+    """(M, *shape) standard normals, block m drawn from rngs[m] straight
+    into its place."""
+    noise = np.empty((len(rngs),) + shape)
+    for rng, block in zip(rngs, noise):
+        rng.standard_normal(out=block)
+    return noise
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +128,12 @@ def gaussian_task(d: int = 2, n_obs: int = 100) -> TaskSpec:
     def prior_sample(rng):
         return rng.standard_normal(d)
 
-    def draw(thetas, rngs, rows):
-        t = _check_thetas(thetas, d, rngs)
-        data = np.stack([rng.standard_normal((rows, d)) for rng in rngs])
+    def draw(t, rngs, rows):
+        data = _noise_blocks(rngs, (rows, d))
         data += t[:, None, :]
         return data
 
-    simulate_many, simulate_raw = _batched(draw, n_obs)
+    simulate_many, simulate_raw = _batched(draw, d, n_obs)
 
     def simulate(theta, rng):
         return simulate_many(_check_theta(theta, d)[None], [rng])[0]
@@ -185,15 +195,14 @@ def factor_task(obs_dim: int = 5, n_obs: int = 100,
     def prior_sample(rng):
         return rng.standard_normal(2)
 
-    def draw(thetas, rngs, rows):
-        t = _check_thetas(thetas, 2, rngs)
-        data = np.stack([rng.standard_normal((rows, obs_dim)) for rng in rngs])
+    def draw(t, rngs, rows):
+        data = _noise_blocks(rngs, (rows, obs_dim))
         # one a @ theta per parameter: a single t @ a.T rounds some
         # entries differently in the last bit
         data += np.array([a @ row for row in t]).reshape(t.shape[0], 1, obs_dim)
         return data
 
-    simulate_many, simulate_raw = _batched(draw, n_obs)
+    simulate_many, simulate_raw = _batched(draw, 2, n_obs)
 
     def simulate(theta, rng):
         return simulate_many(_check_theta(theta, 2)[None], [rng])[0]
@@ -252,7 +261,7 @@ def _trajectory_datasets(paths, thetas: np.ndarray, rngs, n_obs: int,
                          horizon: int) -> np.ndarray:
     """n_obs paths per parameter from one paths call, as (M, n_obs, horizon);
     rngs[m] draws dataset m's step-major (horizon, n_obs) noise block."""
-    noise = np.concatenate([rng.standard_normal((horizon, n_obs)) for rng in rngs], axis=1)
+    noise = _noise_blocks(rngs, (horizon, n_obs)).transpose(1, 0, 2).reshape(horizon, -1)
     return paths(np.repeat(thetas, n_obs, axis=0), noise).reshape(len(rngs), n_obs, horizon)
 
 
@@ -279,11 +288,10 @@ def oup_task(n_obs: int = 100, horizon: int = 25) -> TaskSpec:
     def prior_sample(rng):
         return rng.uniform([lo1, lo2], [hi1, hi2])
 
-    def draw(thetas, rngs, rows):
-        t = _check_thetas(thetas, 2, rngs)
+    def draw(t, rngs, rows):
         return _trajectory_datasets(_oup_paths, t, rngs, rows, horizon)
 
-    simulate_many, simulate_raw = _batched(draw, n_obs)
+    simulate_many, simulate_raw = _batched(draw, 2, n_obs)
 
     def simulate(theta, rng):
         t = _check_theta(theta, 2)
@@ -396,11 +404,10 @@ def sir_task(n_obs: int = 100, horizon: int = 365) -> TaskSpec:
             if 0.0 < gamma < beta < SIR_RATE_MAX:
                 return np.array([beta, gamma])
 
-    def draw(thetas, rngs, rows):
-        t = _check_thetas(thetas, 2, rngs)
+    def draw(t, rngs, rows):
         return _trajectory_datasets(_sir_paths, t, rngs, rows, horizon)
 
-    simulate_many, simulate_raw = _batched(draw, n_obs)
+    simulate_many, simulate_raw = _batched(draw, 2, n_obs)
 
     def simulate(theta, rng):
         t = _check_theta(theta, 2)
