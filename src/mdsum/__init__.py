@@ -15,8 +15,8 @@ from .harness import ExperimentConfig, config_load, run_pipeline, summarize
 from .inference import (AnalyticGaussianEngine, DecoderEmbedding, MdnEngine,
                         decoder_load, decoder_save, engine_load, engine_save,
                         posterior_sample, train_decoder, train_mdn)
-from .kernels import (FeatureMap, MeanEmbedding, build_feature_map, mean_embedding,
-                      median_heuristic, mmd2_exact, mmd2_rff)
+from .kernels import (FeatureMap, build_feature_map, mean_embedding, median_heuristic,
+                      mmd2_exact, mmd2_rff)
 from .metrics import coverage, predictive_mmd, rmse, sample_mmd, summary_oracle_distance
 from .simulators import TaskSpec, TrainingPool, build_training_pool, make_task
 from .util import NumericalError, derive_rng
@@ -24,7 +24,7 @@ from .util import NumericalError, derive_rng
 __all__ = [
     "AdaptationResult", "AnalyticGaussianEngine", "ContaminationSpec",
     "DecoderEmbedding", "ExperimentConfig", "FeatureMap", "MdnEngine",
-    "MeanEmbedding", "NumericalError", "TaskSpec", "TrainingPool",
+    "NumericalError", "TaskSpec", "TrainingPool",
     "adapt", "apply_contamination", "build_feature_map", "build_training_pool",
     "calibrate_threshold", "config_load", "coverage", "decoder_load",
     "decoder_save", "detect", "derive_rng", "engine_load", "engine_save",

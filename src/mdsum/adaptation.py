@@ -30,10 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import DecoderEmbedding, HoldoutRecords, decoder_embed, decoder_objective, standardize
-from .kernels import MeanEmbedding, mean_embedding
+from .kernels import mean_embedding
 from .optimize import lbfgs_minimize
 from .simulators import make_task
 from .util import check_finite
+
+CLIP_BAND = 8.0  # standardized half-width of the band the optimizer starts in
 
 
 @dataclass
@@ -51,7 +53,7 @@ class AdaptationResult:
 
 def _statistic(dec: DecoderEmbedding, s, embedding: np.ndarray) -> float:
     """||mu(s) - embedding||^2, the detection statistic and the objective."""
-    diff = decoder_embed(dec, s).values - embedding
+    diff = decoder_embed(dec, s) - embedding
     return float(diff @ diff)
 
 
@@ -76,7 +78,7 @@ def calibrate_threshold(dec: DecoderEmbedding, holdout: HoldoutRecords,
     return tau
 
 
-def detect(dec: DecoderEmbedding, s0, obs_embedding: MeanEmbedding):
+def detect(dec: DecoderEmbedding, s0, obs_embedding: np.ndarray):
     """Misspecification check at the observed summary.
 
     Returns (statistic, flagged). Requires a calibrated threshold. Raises
@@ -86,16 +88,16 @@ def detect(dec: DecoderEmbedding, s0, obs_embedding: MeanEmbedding):
     if dec.threshold is None:
         raise RuntimeError("detection threshold not calibrated; run calibrate_threshold first")
     check_finite("observed summary", s0)
-    check_finite("observed embedding", obs_embedding.values)
-    statistic = _statistic(dec, s0, obs_embedding.values)
+    check_finite("observed embedding", obs_embedding)
+    statistic = _statistic(dec, s0, obs_embedding)
     return statistic, bool(statistic > dec.threshold)
 
 
 def _optimizer_start(dec: DecoderEmbedding, s0: np.ndarray) -> np.ndarray:
     u0 = standardize(s0, dec.summary_mean, dec.summary_std)
-    if np.all(np.abs(u0) <= dec.clip_band):
+    if np.all(np.abs(u0) <= CLIP_BAND):
         return s0  # in range: start exactly at the observed summary
-    u_clipped = np.clip(u0, -dec.clip_band, dec.clip_band)
+    u_clipped = np.clip(u0, -CLIP_BAND, CLIP_BAND)
     return dec.summary_mean + dec.summary_std * u_clipped
 
 
@@ -139,7 +141,7 @@ def adapt(dec: DecoderEmbedding, observations, gate: bool = True) -> AdaptationR
     if gate:
         statistic, triggered = detect(dec, s0, obs_emb)
     else:
-        statistic, triggered = _statistic(dec, s0, obs_emb.values), True
+        statistic, triggered = _statistic(dec, s0, obs_emb), True
 
     if not triggered:
         return AdaptationResult(
@@ -147,8 +149,8 @@ def adapt(dec: DecoderEmbedding, observations, gate: bool = True) -> AdaptationR
             objective_final=statistic, detected=False, statistic=statistic,
             threshold=dec.threshold, iterations=0, converged=True)
 
-    s_star, iters, converged = minimize_embedding_distance(dec, obs_emb.values, s0)
-    final = _statistic(dec, s_star, obs_emb.values)
+    s_star, iters, converged = minimize_embedding_distance(dec, obs_emb, s0)
+    final = _statistic(dec, s_star, obs_emb)
     if not np.all(np.isfinite(s_star)) or not (final < statistic):
         # safe fallback: keep the observed summary
         s_star, final, converged = s0.copy(), statistic, False

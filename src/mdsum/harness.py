@@ -14,8 +14,8 @@ emission this makes the results CSV byte-identical for a given config at
 any parallelism level. Stage timings go to the manifest, never to the CSV.
 
 A config is one JSON document holding only the values its callers set;
-the rest (the gate and coverage levels, the engine and its mixture size,
-the learning rate and batch size) are fixed here.
+the rest (the gate and coverage levels, the engine and its mixture size
+here; the learning rate and batch size in nn) are constants.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .inference import (AnalyticGaussianEngine, decoder_hash, decoder_load, deco
                         train_decoder, train_mdn)
 from .kernels import build_feature_map, mean_embedding, median_heuristic
 from .metrics import coverage, predictive_mmd, rmse, sample_mmd, summary_oracle_distance
-from .nn import TrainOptions
+from .nn import BATCH_SIZE, LEARNING_RATE
 from .simulators import build_training_pool, factor_task, load_pool, make_task, save_pool
 from .util import NumericalError, canonical_json, derive_rng, sha256_hex
 from . import __version__
@@ -167,29 +167,23 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # Stages
 # ---------------------------------------------------------------------------
 
-def _train_options(cfg: ExperimentConfig) -> TrainOptions:
-    return TrainOptions(max_epochs=cfg.max_epochs, patience=cfg.patience)
-
-
 def _pool_key(cfg: ExperimentConfig) -> str:
     parts = {"task": cfg.task, "d": cfg.d, "obs_dim": cfg.obs_dim, "n_obs": cfg.n_obs,
              "horizon": cfg.horizon, "n_train": cfg.n_train, "master_seed": cfg.master_seed}
     return sha256_hex(canonical_json(parts))[:16]
 
 def _decoder_key(cfg: ExperimentConfig) -> str:
-    opts = _train_options(cfg)
     parts = {"pool": _pool_key(cfg), "n_features": cfg.n_features,
              "holdout_frac": cfg.holdout_frac, "alpha": cfg.alpha,
-             "learning_rate": opts.learning_rate, "batch_size": opts.batch_size,
-             "max_epochs": opts.max_epochs, "patience": opts.patience}
+             "learning_rate": LEARNING_RATE, "batch_size": BATCH_SIZE,
+             "max_epochs": cfg.max_epochs, "patience": cfg.patience}
     return sha256_hex(canonical_json(parts))[:16]
 
 def _engine_key(cfg: ExperimentConfig) -> str:
-    opts = _train_options(cfg)
     parts = {"pool": _pool_key(cfg), "engine": cfg.engine,
-             "mdn_components": MDN_COMPONENTS, "learning_rate": opts.learning_rate,
-             "batch_size": opts.batch_size, "max_epochs": opts.max_epochs,
-             "patience": opts.patience}
+             "mdn_components": MDN_COMPONENTS, "learning_rate": LEARNING_RATE,
+             "batch_size": BATCH_SIZE, "max_epochs": cfg.max_epochs,
+             "patience": cfg.patience}
     return sha256_hex(canonical_json(parts))[:16]
 
 
@@ -231,7 +225,7 @@ def stage_decoder(cfg: ExperimentConfig, out_dir: Path, pool=None, task=None):
     fm = build_feature_map(pool.datasets.shape[2], cfg.n_features, bandwidth,
                            derive_rng(seed, "feature-map"))
     dec, holdout, _report = train_decoder(pool, fm, derive_rng(seed, "decoder"),
-                                          opts=_train_options(cfg),
+                                          cfg.max_epochs, cfg.patience,
                                           holdout_frac=cfg.holdout_frac)
     calibrate_threshold(dec, holdout, alpha=cfg.alpha)
     decoder_save(dec, path, holdout)
@@ -247,9 +241,8 @@ def stage_engine(cfg: ExperimentConfig, out_dir: Path, pool=None, task=None):
     else:
         if pool is None:
             pool, _ = stage_pool(cfg, out_dir, task=task)
-        engine, _report = train_mdn(pool, MDN_COMPONENTS,
-                                    derive_rng(cfg.master_seed, "mdn"),
-                                    opts=_train_options(cfg))
+        engine, _report = train_mdn(pool, MDN_COMPONENTS, derive_rng(cfg.master_seed, "mdn"),
+                                    cfg.max_epochs, cfg.patience)
     engine_save(engine, path)
     return engine, path
 

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import FeatureMap, MeanEmbedding, feature_map_from_payload, feature_map_to_payload, rff_matrix
-from .nn import (Mlp, TrainOptions, TrainReport, fit_mlp, mlp_forward, mlp_from_payload,
-                 mlp_init, mlp_to_payload, mlp_vjp)
+from .kernels import FeatureMap, feature_map_from_payload, feature_map_to_payload, rff_matrix
+from .nn import Mlp, fit_mlp, mlp_forward, mlp_from_payload, mlp_init, mlp_to_payload, mlp_vjp
 from .simulators import TrainingPool, gaussian_posterior
 from .util import as_float_array, check_shape, encode_floats, map_arrays, payload_hash
 
@@ -35,8 +34,7 @@ _CHUNK_ELEMS = 2 ** 24  # cap on rows * K per feature chunk, keeps peaks ~130 MB
 _STD_FLOOR = 1e-12
 
 HIDDEN = (256, 256)  # hidden widths of the decoder and MDN networks
-DEFAULT_CLIP_BAND = 8.0
-LOGSIG_LO = -7.0
+LOGSIG_LO = -7.0  # clip of the MDN's log-stddevs
 LOGSIG_HI = 3.0
 
 
@@ -49,7 +47,6 @@ class DecoderEmbedding:
     threshold: float | None = None  # set by calibrate_threshold
     task_name: str = ""
     task_params: dict = field(default_factory=dict)
-    clip_band: float = DEFAULT_CLIP_BAND
 
 
 @dataclass
@@ -71,8 +68,6 @@ class MdnEngine:
     theta_dim: int
     input_mean: np.ndarray
     input_std: np.ndarray
-    logsig_lo: float = LOGSIG_LO
-    logsig_hi: float = LOGSIG_HI
 
 
 PosteriorEngine = AnalyticGaussianEngine | MdnEngine
@@ -96,7 +91,7 @@ def standardize(values: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.nda
 
 
 def train_decoder(pool: TrainingPool, fm: FeatureMap, rng: np.random.Generator,
-                  opts: TrainOptions | None = None, holdout_frac: float = 0.05):
+                  max_epochs: int, patience: int, holdout_frac: float = 0.05):
     """Fit the summary -> mean-embedding regressor on a simulation pool.
 
     A holdout_frac slice of the pool is reserved before training and
@@ -105,8 +100,6 @@ def train_decoder(pool: TrainingPool, fm: FeatureMap, rng: np.random.Generator,
     """
     if not (0.0 < holdout_frac < 1.0):
         raise ValueError(f"holdout_frac must lie in (0, 1), got {holdout_frac}")
-    if opts is None:
-        opts = TrainOptions()
     m = pool.summaries.shape[0]
     n_hold = max(1, int(round(holdout_frac * m)))
     if n_hold >= m - 1:
@@ -121,7 +114,7 @@ def train_decoder(pool: TrainingPool, fm: FeatureMap, rng: np.random.Generator,
     std = np.maximum(s_train.std(axis=0), _STD_FLOOR)
 
     mlp = mlp_init([pool.summaries.shape[1], *HIDDEN, fm.n_features], rng)
-    report = fit_mlp(mlp, standardize(s_train, mean, std), z_train, opts, rng)
+    report = fit_mlp(mlp, standardize(s_train, mean, std), z_train, max_epochs, patience, rng)
 
     dec = DecoderEmbedding(feature_map=fm, regressor=mlp, summary_mean=mean,
                            summary_std=std, task_name=pool.task_name,
@@ -131,10 +124,10 @@ def train_decoder(pool: TrainingPool, fm: FeatureMap, rng: np.random.Generator,
     return dec, holdout, report
 
 
-def decoder_embed(dec: DecoderEmbedding, s) -> MeanEmbedding:
-    """Model-predicted mean embedding for a summary (sample_count 0)."""
+def decoder_embed(dec: DecoderEmbedding, s) -> np.ndarray:
+    """Model-predicted (K,) mean embedding for a summary."""
     u = standardize(np.asarray(s, dtype=np.float64), dec.summary_mean, dec.summary_std)
-    return MeanEmbedding(values=mlp_forward(dec.regressor, u), sample_count=0)
+    return mlp_forward(dec.regressor, u)
 
 
 def decoder_objective(dec: DecoderEmbedding, target: np.ndarray):
@@ -176,12 +169,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def mdn_loss_grad_factory(n_components: int, theta_dim: int,
-                          logsig_lo: float = LOGSIG_LO, logsig_hi: float = LOGSIG_HI):
+def mdn_loss_grad_factory(n_components: int, theta_dim: int):
     """Mean negative log-likelihood of a diagonal Gaussian mixture, with the
     exact gradient in the raw network outputs.
 
-    Log-stddevs are hard-clipped to [logsig_lo, logsig_hi]; the gradient is
+    Log-stddevs are hard-clipped to [LOGSIG_LO, LOGSIG_HI]; the gradient is
     zero where the clip is active.
     """
     c, d = n_components, theta_dim
@@ -190,7 +182,7 @@ def mdn_loss_grad_factory(n_components: int, theta_dim: int,
     def loss_grad(outputs: np.ndarray, thetas: np.ndarray):
         b = outputs.shape[0]
         logits, means, raw = _mdn_split((c, d), outputs)
-        logsig = np.clip(raw, logsig_lo, logsig_hi)
+        logsig = np.clip(raw, LOGSIG_LO, LOGSIG_HI)
         inv_var = np.exp(-2.0 * logsig)
         diff = thetas[:, None, :] - means  # (B, C, d)
         comp_ll = -0.5 * np.sum(diff * diff * inv_var, axis=2) \
@@ -206,7 +198,7 @@ def mdn_loss_grad_factory(n_components: int, theta_dim: int,
         d_logits = (w - resp) / b
         d_means = -resp[:, :, None] * diff * inv_var / b
         d_raw = -resp[:, :, None] * (diff * diff * inv_var - 1.0) / b
-        d_raw[(raw <= logsig_lo) | (raw >= logsig_hi)] = 0.0
+        d_raw[(raw <= LOGSIG_LO) | (raw >= LOGSIG_HI)] = 0.0
 
         grad = np.concatenate(
             [d_logits, d_means.reshape(b, c * d), d_raw.reshape(b, c * d)], axis=1)
@@ -216,7 +208,7 @@ def mdn_loss_grad_factory(n_components: int, theta_dim: int,
 
 
 def train_mdn(pool: TrainingPool, n_components: int, rng: np.random.Generator,
-              opts: TrainOptions | None = None):
+              max_epochs: int, patience: int):
     """Fit a mixture density network q(theta | s) on a simulation pool.
 
     Component-mean output biases are seeded with parameter draws from the
@@ -226,8 +218,6 @@ def train_mdn(pool: TrainingPool, n_components: int, rng: np.random.Generator,
     """
     if n_components < 1:
         raise ValueError(f"n_components must be positive, got {n_components}")
-    if opts is None:
-        opts = TrainOptions()
     thetas = pool.thetas
     d = thetas.shape[1]
     mean = pool.summaries.mean(axis=0)
@@ -243,7 +233,7 @@ def train_mdn(pool: TrainingPool, n_components: int, rng: np.random.Generator,
     bias[n_components + n_components * d:] = np.tile(spread, n_components)
 
     loss_grad = mdn_loss_grad_factory(n_components, d)
-    report = fit_mlp(mlp, inputs, thetas, opts, rng, loss_grad=loss_grad)
+    report = fit_mlp(mlp, inputs, thetas, max_epochs, patience, rng, loss_grad=loss_grad)
     engine = MdnEngine(mlp=mlp, n_components=n_components, theta_dim=d,
                        input_mean=mean, input_std=std)
     return engine, report
@@ -255,7 +245,7 @@ def mdn_parameters(engine: MdnEngine, s):
     out = mlp_forward(engine.mlp, u)[None, :]
     logits, means, raw = _mdn_split((engine.n_components, engine.theta_dim), out)
     logw = _log_softmax(logits)
-    sig = np.exp(np.clip(raw, engine.logsig_lo, engine.logsig_hi))
+    sig = np.exp(np.clip(raw, LOGSIG_LO, LOGSIG_HI))
     return np.exp(logw[0]), means[0], sig[0]
 
 
@@ -291,7 +281,6 @@ def decoder_to_payload(dec: DecoderEmbedding, holdout: HoldoutRecords | None = N
         "summary_mean": dec.summary_mean,
         "summary_std": dec.summary_std,
         "threshold": None if dec.threshold is None else np.array([dec.threshold]),
-        "clip_band": dec.clip_band,
     }
     if holdout is not None:
         payload["holdout"] = {"summaries": holdout.summaries, "embeddings": holdout.embeddings}
@@ -330,7 +319,6 @@ def decoder_from_payload(payload: dict):
         threshold=None if threshold is None else float(as_float_array(threshold)[0]),
         task_name=payload["task"]["name"],
         task_params=dict(payload["task"]["params"]),
-        clip_band=float(payload.get("clip_band", DEFAULT_CLIP_BAND)),
     )
     holdout = None
     if "holdout" in payload:
@@ -369,8 +357,6 @@ def engine_to_payload(engine: PosteriorEngine) -> dict:
             "theta_dim": engine.theta_dim,
             "input_mean": engine.input_mean,
             "input_std": engine.input_std,
-            "logsig_lo": engine.logsig_lo,
-            "logsig_hi": engine.logsig_hi,
         }
     raise TypeError(f"unknown engine type {type(engine).__name__}")
 
@@ -392,8 +378,6 @@ def engine_from_payload(payload: dict) -> PosteriorEngine:
             theta_dim=theta_dim,
             input_mean=_input_array(payload, "input_mean", mlp),
             input_std=_input_array(payload, "input_std", mlp),
-            logsig_lo=float(payload["logsig_lo"]),
-            logsig_hi=float(payload["logsig_hi"]),
         )
     raise ValueError(f"unknown engine variant {payload['variant']!r}")
 

@@ -21,6 +21,8 @@ from scipy.spatial.distance import cdist, pdist
 from .util import as_2d_f64, as_float_array, check_finite, check_shape
 
 BANDWIDTH_FLOOR = 1e-8
+# distinct pairs above which median_heuristic takes a sample of this many
+MAX_PAIRS = 1_000_000
 # bytes of pair differences median_heuristic's sampled path gathers at a
 # time, which bounds its temporaries whatever the row width
 GATHER_BYTES = 1 << 24
@@ -37,12 +39,6 @@ class FeatureMap:
     bandwidth: float
     frequencies: np.ndarray  # (K, d)
     phases: np.ndarray  # (K,)
-
-
-@dataclass
-class MeanEmbedding:
-    values: np.ndarray  # (K,)
-    sample_count: int  # 0 marks a model-predicted embedding
 
 
 def _sample_distinct_pairs(n_rows: int, n_pairs: int, rng: np.random.Generator):
@@ -95,35 +91,34 @@ def _default_pairs(n_rows: int, n_pairs: int):
     return i, j
 
 
-def median_heuristic(data, max_pairs: int = 1_000_000, rng: np.random.Generator | None = None) -> float:
+def median_heuristic(data, rng: np.random.Generator | None = None) -> float:
     """Median pairwise Euclidean distance, floored at BANDWIDTH_FLOOR.
 
-    When the number of distinct pairs exceeds max_pairs, a uniform
-    without-replacement subsample of pairs is used; pass rng to control it
-    (it then advances on every call). Without rng the pairs come from a
-    fixed stream, so results are reproducible regardless; they depend only
-    on (n, max_pairs), and are drawn once per such size and reused.
+    When the number of distinct pairs exceeds MAX_PAIRS, a uniform
+    without-replacement subsample of MAX_PAIRS pairs is used; pass rng to
+    control it (rng then advances on every such call; with all pairs
+    measured it is not drawn from). Without rng the pairs come from a fixed
+    stream, so results are reproducible regardless; they depend only on
+    (n, MAX_PAIRS), and are drawn once per such size and reused.
     """
     x = as_2d_f64("data", data)
     check_finite("data", x)
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"median heuristic needs at least 2 rows, got {n}")
-    if max_pairs < 1:
-        raise ValueError(f"max_pairs must be positive, got {max_pairs}")
     total = n * (n - 1) // 2
-    if total <= max_pairs:
+    if total <= MAX_PAIRS:
         dists = pdist(x, metric="euclidean")
     else:
         if rng is None:
-            i, j = _default_pairs(n, max_pairs)
+            i, j = _default_pairs(n, MAX_PAIRS)
         else:
-            i, j = _sample_distinct_pairs(n, max_pairs, rng)
+            i, j = _sample_distinct_pairs(n, MAX_PAIRS, rng)
         # take gathers rows far faster than fancy indexing; the in-place
         # steps and numpy's axis-1 sum keep every distance bit-identical
         chunk = max(1, GATHER_BYTES // x[0].nbytes)
-        dists = np.empty(max_pairs)
-        for start in range(0, max_pairs, chunk):
+        dists = np.empty(MAX_PAIRS)
+        for start in range(0, MAX_PAIRS, chunk):
             rows = slice(start, start + chunk)
             diff = x.take(i[rows], axis=0)
             diff -= x.take(j[rows], axis=0)
@@ -161,14 +156,13 @@ def rff_matrix(fm: FeatureMap, data) -> np.ndarray:
     return z
 
 
-def mean_embedding(fm: FeatureMap, data) -> MeanEmbedding:
-    feats = rff_matrix(fm, data)
-    return MeanEmbedding(values=feats.mean(axis=0), sample_count=feats.shape[0])
+def mean_embedding(fm: FeatureMap, data) -> np.ndarray:
+    """The (K,) mean of the feature vectors of a dataset's rows."""
+    return rff_matrix(fm, data).mean(axis=0)
 
 
-def mmd2_rff(fm: FeatureMap, emb_a: MeanEmbedding, emb_b: MeanEmbedding) -> float:
+def mmd2_rff(fm: FeatureMap, a: np.ndarray, b: np.ndarray) -> float:
     """Squared distance between mean embeddings; the RFF estimate of MMD^2."""
-    a, b = emb_a.values, emb_b.values
     if a.shape != (fm.n_features,) or b.shape != (fm.n_features,):
         raise ValueError("embedding length does not match the feature map")
     d = a - b

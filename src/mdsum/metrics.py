@@ -45,7 +45,7 @@ def sample_mmd(samples_a, samples_b) -> float:
     """MMD (square root of the biased estimate) between two sample sets.
 
     The RBF bandwidth is the median heuristic on the pooled rows (sampled
-    over its default 1M pairs when there are more). Swapping the arguments
+    over kernels.MAX_PAIRS pairs when there are more). Swapping the arguments
     changes the value in its last bits, as in mmd2_exact; on the sampled
     path it changes more, since the fixed pair sample then picks other
     pairs of the swapped stack.

@@ -10,14 +10,15 @@ Weights for layer l have shape (fan_out, fan_in) and act on row batches as
 ``X @ W.T + b``. Every forward pass goes through ``forward_batch``;
 ``mlp_vjp`` reuses that one pass's activations for the input gradient, so a
 value-and-gradient query costs a single forward. Adam's constants and the
-validation split are fixed (ADAM_*, VAL_FRACTION). Networks persist only as
+validation split, the learning rate and the batch size are fixed (ADAM_*,
+VAL_FRACTION, LEARNING_RATE, BATCH_SIZE). Networks persist only as
 payloads inside the decoder and engine artifacts of ``inference``; a payload
 loads only if it names the activation "tanh" and matches its layer_dims.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +28,8 @@ from .util import NumericalError, as_float_array, check_shape
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LEARNING_RATE = 5e-4
+BATCH_SIZE = 128  # rows per fit_mlp step
 VAL_FRACTION = 0.10  # share of fit_mlp's rows held aside for early stopping
 
 
@@ -45,20 +48,11 @@ class Gradients:
 
 @dataclass
 class AdamState:
-    learning_rate: float = 5e-4
-    step: int = 0
-    m_weights: list = field(default_factory=list)
-    v_weights: list = field(default_factory=list)
-    m_biases: list = field(default_factory=list)
-    v_biases: list = field(default_factory=list)
-
-
-@dataclass
-class TrainOptions:
-    learning_rate: float = 5e-4
-    batch_size: int = 128
-    max_epochs: int = 500
-    patience: int = 20
+    step: int
+    m_weights: list
+    v_weights: list
+    m_biases: list
+    v_biases: list
 
 
 @dataclass
@@ -158,11 +152,9 @@ def mse_loss_grad(outputs: np.ndarray, targets: np.ndarray):
     return loss, (2.0 / outputs.shape[0]) * diff
 
 
-def adam_init(mlp: Mlp, learning_rate: float = 5e-4) -> AdamState:
-    if not (0.0 < learning_rate):
-        raise ValueError(f"learning rate must be positive, got {learning_rate}")
+def adam_init(mlp: Mlp) -> AdamState:
     return AdamState(
-        learning_rate=learning_rate, step=0,
+        step=0,
         m_weights=[np.zeros_like(w) for w in mlp.weights],
         v_weights=[np.zeros_like(w) for w in mlp.weights],
         m_biases=[np.zeros_like(b) for b in mlp.biases],
@@ -170,14 +162,14 @@ def adam_init(mlp: Mlp, learning_rate: float = 5e-4) -> AdamState:
     )
 
 
-def _adam_update(p, g, m, v, state: AdamState, t: int):
+def _adam_update(p, g, m, v, t: int):
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * (g * g)
     m_hat = m / (1.0 - ADAM_BETA1 ** t)
     v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    p -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def adam_step(state: AdamState, mlp: Mlp, grads: Gradients):
@@ -189,9 +181,9 @@ def adam_step(state: AdamState, mlp: Mlp, grads: Gradients):
     t = state.step
     for i in range(len(mlp.weights)):
         _adam_update(mlp.weights[i], grads.weights[i], state.m_weights[i],
-                     state.v_weights[i], state, t)
+                     state.v_weights[i], t)
         _adam_update(mlp.biases[i], grads.biases[i], state.m_biases[i],
-                     state.v_biases[i], state, t)
+                     state.v_biases[i], t)
     return mlp, state
 
 
@@ -199,8 +191,8 @@ def _snapshot(mlp: Mlp):
     return [w.copy() for w in mlp.weights], [b.copy() for b in mlp.biases]
 
 
-def fit_mlp(mlp: Mlp, inputs, targets, opts: TrainOptions, rng: np.random.Generator,
-            loss_grad: Optional[Callable] = None) -> TrainReport:
+def fit_mlp(mlp: Mlp, inputs, targets, max_epochs: int, patience: int,
+            rng: np.random.Generator, loss_grad: Optional[Callable] = None) -> TrainReport:
     """Mini-batch Adam training with early stopping.
 
     A VAL_FRACTION split is held aside; training stops when the validation
@@ -225,7 +217,7 @@ def fit_mlp(mlp: Mlp, inputs, targets, opts: TrainOptions, rng: np.random.Genera
     x_tr, y_tr = x[train_idx], y[train_idx]
     n_tr = x_tr.shape[0]
 
-    adam = adam_init(mlp, learning_rate=opts.learning_rate)
+    adam = adam_init(mlp)
     best_val = np.inf
     best_params = _snapshot(mlp)
     stale = 0
@@ -233,10 +225,10 @@ def fit_mlp(mlp: Mlp, inputs, targets, opts: TrainOptions, rng: np.random.Genera
     val_losses: list = []
     epochs_run = 0
 
-    for epoch in range(opts.max_epochs):
+    for epoch in range(max_epochs):
         order = rng.permutation(n_tr)
-        for start in range(0, n_tr, opts.batch_size):
-            idx = order[start:start + opts.batch_size]
+        for start in range(0, n_tr, BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             out, acts = forward_batch(mlp, x_tr[idx])
             loss, grad_out = loss_grad(out, y_tr[idx])
             if not np.isfinite(loss):
@@ -254,7 +246,7 @@ def fit_mlp(mlp: Mlp, inputs, targets, opts: TrainOptions, rng: np.random.Genera
             stale = 0
         else:
             stale += 1
-            if stale >= opts.patience:
+            if stale >= patience:
                 break
 
     mlp.weights, mlp.biases = best_params

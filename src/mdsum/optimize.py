@@ -229,7 +229,8 @@ def lbfgs_minimize(objective: Objective, x0, opts: OptimOptions | None = None):
 
     Returns (x, iterations, converged); converged means the infinity norm of
     the gradient reached grad_tol. Non-finite objective values terminate the
-    run with the best iterate seen so far.
+    run at the last accepted iterate, which is also the best, since accepted
+    steps never increase the objective.
     """
     if opts is None:
         opts = OptimOptions()
@@ -240,7 +241,6 @@ def lbfgs_minimize(objective: Objective, x0, opts: OptimOptions | None = None):
     fe = objective(x)
     if not np.isfinite(fe.value) or not np.all(np.isfinite(fe.gradient)):
         return x, 0, False
-    best_x, best_f = x.copy(), fe.value
     if np.max(np.abs(fe.gradient)) <= opts.grad_tol:
         return x, 0, True
     pairs: list = []
@@ -260,7 +260,7 @@ def lbfgs_minimize(objective: Objective, x0, opts: OptimOptions | None = None):
             alpha, fe_new = found
             x_new = x + alpha * d
         if not np.isfinite(fe_new.value) or not np.all(np.isfinite(fe_new.gradient)):
-            return best_x, it, False
+            return x, it, False
         s = x_new - x
         y = fe_new.gradient - fe.gradient
         sy = float(s @ y)
@@ -269,8 +269,6 @@ def lbfgs_minimize(objective: Objective, x0, opts: OptimOptions | None = None):
             if len(pairs) > HISTORY_SIZE:
                 pairs.pop(0)
         x, fe = x_new, fe_new
-        if fe.value < best_f:
-            best_x, best_f = x.copy(), fe.value
         if np.max(np.abs(fe.gradient)) <= opts.grad_tol:
             return x, it, True
     return x, opts.max_iters, False

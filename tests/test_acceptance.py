@@ -29,7 +29,7 @@ from mdsum.harness import (config_from_dict, read_results_csv, run_pipeline,
 from mdsum.inference import decoder_hash, decoder_load, engine_hash, engine_load, train_mdn
 from mdsum.kernels import (build_feature_map, mean_embedding, median_heuristic,
                            mmd2_exact, mmd2_rff)
-from mdsum.nn import TrainOptions, mlp_init
+from mdsum.nn import mlp_init
 from mdsum.optimize import ObjectiveEval, OptimOptions, lbfgs_minimize
 from mdsum.simulators import build_training_pool, gaussian_posterior, make_task
 from mdsum.util import derive_rng
@@ -209,7 +209,7 @@ def test_criterion_04_posterior_engines():
     task = make_task("gaussian", d=2, n_obs=n_obs)
     pool = build_training_pool(task, 8000, MASTER_SEED)
     engine, _report = train_mdn(pool, 1, derive_rng(MASTER_SEED, "acceptance-mdn"),
-                                TrainOptions(max_epochs=400, patience=40))
+                                max_epochs=400, patience=40)
     idx = derive_rng(MASTER_SEED, "acceptance-mdn-probes").choice(8000, 10,
                                                                   replace=False)
     worst_mean, worst_std = 0.0, 0.0
@@ -297,7 +297,7 @@ def test_criterion_06_gaussian_robustness_direction():
         clean = task.simulate(task.prior_sample(rng), rng)
         observed = apply_contamination(spec, task, clean,
                                        derive_rng(MASTER_SEED, "contaminate", cell_idx, j))
-        zbar = mean_embedding(dec.feature_map, observed).values
+        zbar = mean_embedding(dec.feature_map, observed)
         phi = lambda s: float(np.sum(
             (closed_form_embedding(dec.feature_map, s, cfg.n_obs) - zbar) ** 2))
         s_exact = minimize(phi, task.summary(observed), method="BFGS").x

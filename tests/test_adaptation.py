@@ -6,6 +6,7 @@ import pytest
 from helpers import closed_form_embedding
 
 from mdsum.adaptation import (
+    CLIP_BAND,
     _optimizer_start,
     adapt,
     calibrate_threshold,
@@ -19,8 +20,8 @@ from mdsum.inference import (
     standardize,
     train_decoder,
 )
-from mdsum.kernels import MeanEmbedding, build_feature_map, mean_embedding, median_heuristic
-from mdsum.nn import TrainOptions, forward_batch, mlp_init
+from mdsum.kernels import build_feature_map, mean_embedding, median_heuristic
+from mdsum.nn import forward_batch, mlp_init
 from mdsum.simulators import build_training_pool, gaussian_task
 from mdsum.util import NumericalError, derive_rng
 
@@ -34,7 +35,7 @@ def calibrated_decoder():
     bw = median_heuristic(pool.datasets.reshape(-1, 2), rng=derive_rng(23, "bw"))
     fm = build_feature_map(2, 64, bw, derive_rng(23, "fm"))
     dec, holdout, _ = train_decoder(pool, fm, derive_rng(23, "train"),
-                                    opts=TrainOptions(max_epochs=150, patience=20))
+                                    max_epochs=150, patience=20)
     calibrate_threshold(dec, holdout, alpha=0.05)
     return task, dec
 
@@ -78,20 +79,19 @@ def test_calibrate_threshold_validation():
 
 def test_detect_requires_calibration():
     dec = zero_prediction_decoder()
-    emb = MeanEmbedding(values=np.array([1.0]), sample_count=5)
     with pytest.raises(RuntimeError):
-        detect(dec, np.zeros(1), emb)
+        detect(dec, np.zeros(1), np.array([1.0]))
 
 
 def test_detect_statistic_and_flag():
     dec = zero_prediction_decoder()
     dec.threshold = 4.0
-    stat, flagged = detect(dec, np.zeros(1), MeanEmbedding(np.array([1.5]), 5))
+    stat, flagged = detect(dec, np.zeros(1), np.array([1.5]))
     assert stat == pytest.approx(2.25) and not flagged
-    stat, flagged = detect(dec, np.zeros(1), MeanEmbedding(np.array([2.5]), 5))
+    stat, flagged = detect(dec, np.zeros(1), np.array([2.5]))
     assert stat == pytest.approx(6.25) and flagged
     # boundary: strictly-greater comparison
-    stat, flagged = detect(dec, np.zeros(1), MeanEmbedding(np.array([2.0]), 5))
+    stat, flagged = detect(dec, np.zeros(1), np.array([2.0]))
     assert stat == pytest.approx(4.0) and not flagged
 
 
@@ -122,7 +122,7 @@ def test_optimizer_start_clips_absurd_summaries(calibrated_decoder):
     s0 = np.full(2, 1e6)
     start = _optimizer_start(dec, s0)
     u = standardize(start, dec.summary_mean, dec.summary_std)
-    assert np.all(np.abs(u) <= dec.clip_band + 1e-9)
+    assert np.all(np.abs(u) <= CLIP_BAND + 1e-9)
 
 
 def test_minimize_matches_grid_search(calibrated_decoder):
@@ -143,7 +143,7 @@ def test_minimize_matches_grid_search(calibrated_decoder):
     values = ((outputs - target) ** 2).sum(axis=1)
     best = grid[int(values.argmin())]
 
-    obj_star = float(((decoder_embed(dec, s_star).values - target) ** 2).sum())
+    obj_star = float(((decoder_embed(dec, s_star) - target) ** 2).sum())
     assert obj_star <= values.min() + 1e-10  # at least as good as the grid
     assert np.linalg.norm(s_star - best) <= 0.05  # within grid resolution
     assert np.linalg.norm(s_star - s_true) <= 0.2  # near the planted summary
@@ -157,9 +157,9 @@ def test_detect_rejects_non_finite_input():
     dec = zero_prediction_decoder()
     dec.threshold = 4.0
     with pytest.raises(NumericalError):
-        detect(dec, np.array([np.nan]), MeanEmbedding(np.array([1.5]), 5))
+        detect(dec, np.array([np.nan]), np.array([1.5]))
     with pytest.raises(NumericalError):
-        detect(dec, np.zeros(1), MeanEmbedding(np.array([np.inf]), 5))
+        detect(dec, np.zeros(1), np.array([np.inf]))
 
 
 def contaminated_dataset(s_true, rng):

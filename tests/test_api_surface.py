@@ -4,6 +4,14 @@ Every public top-level function or class in src/mdsum must be referenced
 from src/mdsum outside its own definition, from perfbench/ (which also
 patches functions by their names as strings), or from mdsum.__all__. A
 function that only tests call belongs in tests/helpers.py.
+
+Every defaulted parameter of a public top-level function, and every
+defaulted dataclass field, must be set by code in src/mdsum or perfbench/:
+by keyword or position in a call, or by an attribute assignment. A value
+that only tests set belongs in the code as a constant (tests monkeypatch
+it). ExperimentConfig is checked by test_config_surface.py.
+
+No module of src/mdsum imports a name it never refers to.
 """
 
 import ast
@@ -52,3 +60,104 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
                        for other in modules.values()):
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"public definitions only tests can reach: {unused}"
+
+
+# defaulted values that no code outside the tests sets, kept on purpose
+UNSET_ALLOWED = {
+    "cli.main.argv": "the entry point: the console script passes none, tests pass argv",
+    "optimize.lbfgs_minimize.opts": "criterion 3 sets the iteration cap and tolerance",
+    "optimize.OptimOptions.max_iters": "criterion 3's input (lbfgs_minimize's opts)",
+    "optimize.OptimOptions.grad_tol": "criterion 3's input (lbfgs_minimize's opts)",
+}
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _settings(trees):
+    """(callee, keyword) and (callee, position) pairs of every call, and the
+    names of every attribute assigned to."""
+    keywords, positions, attributes = set(), set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = _callee(node)
+                keywords |= {(name, kw.arg) for kw in node.keywords}
+                for i, arg in enumerate(node.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    positions.add((name, i))
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                attributes |= {t.attr for t in targets if isinstance(t, ast.Attribute)}
+    return keywords, positions, attributes
+
+
+def _is_dataclass(node):
+    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+               for d in node.decorator_list if isinstance(d, (ast.Name, ast.Call)))
+
+
+def _defaulted(module, tree):
+    """(qualified name, owner, name, position or None, is_field) of every
+    defaulted public-function parameter and dataclass field."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args.posonlyargs + node.args.args
+            for i in range(len(args) - len(node.args.defaults), len(args)):
+                yield f"{module}.{node.name}.{args[i].arg}", node.name, args[i].arg, i, False
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield f"{module}.{node.name}.{arg.arg}", node.name, arg.arg, None, False
+        elif (isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              and node.name != "ExperimentConfig"):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
+                      and "ClassVar" not in ast.unparse(f.annotation)]
+            for i, f in enumerate(fields):
+                if f.value is not None:
+                    yield f"{module}.{node.name}.{f.target.id}", node.name, f.target.id, i, True
+
+
+def test_every_defaulted_value_is_set_outside_the_tests():
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    keywords, positions, attributes = _settings(
+        ast.parse(p.read_text(encoding="utf-8")) for p in paths)
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, owner, name, pos, is_field in _defaulted(path.stem, tree):
+            if ((owner, name) in keywords or (owner, pos) in positions
+                    or (is_field and name in attributes)):
+                continue
+            unset.append(qualified)
+    assert sorted(unset) == sorted(UNSET_ALLOWED), (
+        f"defaulted values that only tests set: {sorted(set(unset) - set(UNSET_ALLOWED))}; "
+        f"allowed but now set or gone: {sorted(set(UNSET_ALLOWED) - set(unset))}")
+
+
+# imported names a module keeps without using them, each with its reason
+UNUSED_IMPORT_ALLOWED = {
+    "metrics.make_task": "perfbench/tracing.py patches make_task on mdsum.metrics",
+}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.stem}.{bound}")
+    assert sorted(unused) == sorted(UNUSED_IMPORT_ALLOWED), (
+        f"unused imports: {sorted(set(unused) - set(UNUSED_IMPORT_ALLOWED))}; "
+        f"allowed but now used or gone: {sorted(set(UNUSED_IMPORT_ALLOWED) - set(unused))}")

@@ -32,7 +32,7 @@ from mdsum.inference import (
     train_mdn,
 )
 from mdsum.kernels import build_feature_map, mean_embedding, median_heuristic
-from mdsum.nn import TrainOptions, forward_batch, mlp_forward, mlp_init
+from mdsum.nn import forward_batch, mlp_forward, mlp_init
 from mdsum.simulators import build_training_pool, gaussian_task
 from mdsum.util import NumericalError, derive_rng, encode_floats, map_arrays
 
@@ -47,8 +47,7 @@ def trained_decoder():
     bw = median_heuristic(pool.datasets.reshape(-1, 2), rng=derive_rng(11, "bw"))
     fm = build_feature_map(2, 64, bw, derive_rng(11, "fm"))
     dec, holdout, report = train_decoder(
-        pool, fm, derive_rng(11, "train"),
-        opts=TrainOptions(max_epochs=150, patience=20))
+        pool, fm, derive_rng(11, "train"), max_epochs=150, patience=20)
     return pool, dec, holdout, report
 
 
@@ -69,7 +68,7 @@ def test_pool_feature_means_matches_per_dataset_loop():
     got = pool_feature_means(fm, pool.datasets)
     assert got.shape == (12, 32)
     for i in range(12):
-        assert np.allclose(got[i], mean_embedding(fm, pool.datasets[i]).values,
+        assert np.allclose(got[i], mean_embedding(fm, pool.datasets[i]),
                            rtol=0.0, atol=1e-14)
 
 
@@ -82,7 +81,7 @@ def test_train_decoder_holdout_is_reserved(trained_decoder):
     row = holdout.summaries[0]
     match = np.where(np.all(pool.summaries == row, axis=1))[0]
     assert len(match) == 1
-    direct = mean_embedding(fm, pool.datasets[match[0]]).values
+    direct = mean_embedding(fm, pool.datasets[match[0]])
     assert np.allclose(holdout.embeddings[0], direct, rtol=0.0, atol=1e-12)
     assert report.epochs >= 1
     assert np.isfinite(report.best_val_loss)
@@ -95,7 +94,7 @@ def test_decoder_matches_conditional_embedding_oracle(trained_decoder):
     rng = derive_rng(11, "probe")
     for _ in range(10):
         s = 0.9 * rng.standard_normal(2)
-        pred = decoder_embed(dec, s).values
+        pred = decoder_embed(dec, s)
         truth = closed_form_embedding(dec.feature_map, s, n_obs=20)
         cos = pred @ truth / (np.linalg.norm(pred) * np.linalg.norm(truth))
         rel = np.linalg.norm(pred - truth) / np.linalg.norm(truth)
@@ -105,9 +104,7 @@ def test_decoder_matches_conditional_embedding_oracle(trained_decoder):
 
 def test_decoder_embed_is_model_predicted(trained_decoder):
     _, dec, _, _ = trained_decoder
-    emb = decoder_embed(dec, np.zeros(2))
-    assert emb.sample_count == 0
-    assert emb.values.shape == (64,)
+    assert decoder_embed(dec, np.zeros(2)).shape == (64,)
 
 
 def two_pass_objective(dec, target, s):
@@ -126,12 +123,12 @@ def two_pass_objective(dec, target, s):
 def test_decoder_objective_value_and_gradient(trained_decoder):
     _, dec, _, _ = trained_decoder
     rng = derive_rng(11, "obj")
-    target = decoder_embed(dec, np.array([0.4, -0.2])).values
+    target = decoder_embed(dec, np.array([0.4, -0.2]))
     obj = decoder_objective(dec, target)
     for _ in range(5):
         s = rng.standard_normal(2)
         ev = obj(s)
-        direct = decoder_embed(dec, s).values - target
+        direct = decoder_embed(dec, s) - target
         assert ev.value == pytest.approx(float(direct @ direct), rel=1e-12)
         fd = fd_gradient(lambda v: obj(v).value, s)
         denom = max(1.0, float(np.abs(fd).max()))
@@ -146,7 +143,7 @@ def test_decoder_objective_runs_one_forward_per_evaluation(trained_decoder, monk
     import mdsum.nn
 
     _, dec, _, _ = trained_decoder
-    obj = decoder_objective(dec, decoder_embed(dec, np.array([0.4, -0.2])).values)
+    obj = decoder_objective(dec, decoder_embed(dec, np.array([0.4, -0.2])))
     calls = []
 
     def counting_forward_batch(mlp, inputs):
@@ -163,7 +160,7 @@ def test_decoder_objective_runs_one_forward_per_evaluation(trained_decoder, monk
 def test_decoder_objective_zero_at_its_own_embedding(trained_decoder):
     _, dec, _, _ = trained_decoder
     s = np.array([0.1, 0.7])
-    obj = decoder_objective(dec, decoder_embed(dec, s).values)
+    obj = decoder_objective(dec, decoder_embed(dec, s))
     assert obj(s).value == 0.0
     assert np.allclose(obj(s).gradient, 0.0, atol=1e-12)
 
@@ -172,9 +169,9 @@ def test_train_decoder_validation():
     pool = small_pool(m=20, n_obs=5, seed=14)
     fm = build_feature_map(2, 8, 1.0, derive_rng(14, "fm"))
     with pytest.raises(ValueError):
-        train_decoder(pool, fm, derive_rng(14, "t"), holdout_frac=0.0)
+        train_decoder(pool, fm, derive_rng(14, "t"), 1, 1, holdout_frac=0.0)
     with pytest.raises(ValueError):
-        train_decoder(pool, fm, derive_rng(14, "t"), holdout_frac=0.99)
+        train_decoder(pool, fm, derive_rng(14, "t"), 1, 1, holdout_frac=0.99)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +213,8 @@ def test_mdn_loss_gradient_matches_finite_differences():
 
 def test_mdn_loss_gradient_zero_in_clipped_region():
     c, d = 1, 1
-    loss_grad = mdn_loss_grad_factory(c, d, logsig_lo=-1.0, logsig_hi=1.0)
-    outputs = np.array([[0.3, 0.0, 5.0]])  # raw log-sigma far above the cap
+    loss_grad = mdn_loss_grad_factory(c, d)
+    outputs = np.array([[0.3, 0.0, 5.0]])  # raw log-sigma above LOGSIG_HI
     _, grad = loss_grad(outputs, np.array([[0.2]]))
     assert grad[0, 2] == 0.0
 
@@ -261,7 +258,7 @@ def test_train_mdn_learns_conditional_location():
     # track the summary and beat the prior-width spread
     pool = small_pool(m=1200, n_obs=50, seed=17)
     engine, report = train_mdn(pool, n_components=2, rng=derive_rng(17, "mdn"),
-                               opts=TrainOptions(max_epochs=120, patience=15))
+                               max_epochs=120, patience=15)
     assert np.isfinite(report.best_val_loss)
     errs = []
     for s in (np.array([-1.0, 0.5]), np.array([0.8, -0.3]), np.array([0.0, 0.0])):
@@ -274,7 +271,7 @@ def test_train_mdn_learns_conditional_location():
 def test_train_mdn_validation():
     pool = small_pool(m=30, n_obs=5, seed=18)
     with pytest.raises(ValueError):
-        train_mdn(pool, n_components=0, rng=derive_rng(18, "m"))
+        train_mdn(pool, n_components=0, rng=derive_rng(18, "m"), max_epochs=1, patience=1)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +360,7 @@ def test_decoder_round_trip_is_value_exact(trained_decoder, tmp_path):
     assert loaded.task_name == "gaussian"
     assert np.array_equal(loaded_holdout.embeddings, holdout.embeddings)
     s = np.array([0.3, -0.8])
-    assert np.array_equal(decoder_embed(loaded, s).values, decoder_embed(dec, s).values)
+    assert np.array_equal(decoder_embed(loaded, s), decoder_embed(dec, s))
 
 
 def test_decoder_hash_ignores_holdout(trained_decoder, tmp_path):
@@ -638,7 +635,6 @@ def test_saved_files_keep_the_nested_hex_format(tmp_path):
         "summary_mean": encode_floats(dec.summary_mean),
         "summary_std": encode_floats(dec.summary_std),
         "threshold": encode_floats(np.array([dec.threshold])),
-        "clip_band": dec.clip_band,
         "holdout": {"summaries": encode_floats(holdout.summaries),
                     "embeddings": encode_floats(holdout.embeddings)},
     }
@@ -649,8 +645,7 @@ def test_saved_files_keep_the_nested_hex_format(tmp_path):
     old_engine = {"kind": "engine", "variant": "mdn", "mlp": _old_mlp_payload(engine.mlp),
                   "n_components": engine.n_components, "theta_dim": engine.theta_dim,
                   "input_mean": encode_floats(engine.input_mean),
-                  "input_std": encode_floats(engine.input_std),
-                  "logsig_lo": engine.logsig_lo, "logsig_hi": engine.logsig_hi}
+                  "input_std": encode_floats(engine.input_std)}
     engine_save(engine, tmp_path / "engine.json")
     assert (tmp_path / "engine.json").read_text(encoding="utf-8") == json.dumps(old_engine)
 

@@ -46,30 +46,33 @@ def test_median_floor_on_identical_points():
     assert median_heuristic(x) == BANDWIDTH_FLOOR
 
 
-def test_median_subsampling_is_deterministic_and_close():
+def test_median_subsampling_is_deterministic_and_close(monkeypatch):
     rng = derive_rng(6, "median")
     x = rng.standard_normal((300, 2))
     full = median_heuristic(x)  # 44850 pairs, exact
-    a = median_heuristic(x, max_pairs=5000, rng=derive_rng(1, "pairs"))
-    b = median_heuristic(x, max_pairs=5000, rng=derive_rng(1, "pairs"))
+    monkeypatch.setattr(kernels, "MAX_PAIRS", 5000)
+    a = median_heuristic(x, rng=derive_rng(1, "pairs"))
+    b = median_heuristic(x, rng=derive_rng(1, "pairs"))
     assert a == b
     assert a == pytest.approx(full, rel=0.05)
 
 
-def test_median_sampled_gather_is_exact_and_bounded():
+def test_median_sampled_gather_is_exact_and_bounded(monkeypatch):
     # the sampled path gathers pair differences in chunks of GATHER_BYTES:
     # over several chunks the value must equal a one-shot gather ...
     x = derive_rng(7, "median").standard_normal((600, 256))
     n_pairs = 5 * GATHER_BYTES // (2 * x[0].nbytes)  # two and a half chunks
     i, j = _sample_distinct_pairs(600, n_pairs, derive_rng(1, "pairs"))
     expected = float(np.median(np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=1))))
-    assert median_heuristic(x, max_pairs=n_pairs, rng=derive_rng(1, "pairs")) == expected
+    monkeypatch.setattr(kernels, "MAX_PAIRS", n_pairs)
+    assert median_heuristic(x, rng=derive_rng(1, "pairs")) == expected
     # ... and the peak must stay far below the one-shot gather's size
     x = derive_rng(8, "median").standard_normal((1000, 800))
     n_pairs = 100_000
+    monkeypatch.setattr(kernels, "MAX_PAIRS", n_pairs)
     tracemalloc.start()
     try:
-        median_heuristic(x, max_pairs=n_pairs, rng=derive_rng(2, "pairs"))
+        median_heuristic(x, rng=derive_rng(2, "pairs"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -78,22 +81,24 @@ def test_median_sampled_gather_is_exact_and_bounded():
 
 
 @pytest.mark.parametrize("width", [2, 7, 8, 25])  # numpy's pairwise sum starts at 8 columns
-def test_median_sampled_default_stream_is_exact(width):
+def test_median_sampled_default_stream_is_exact(width, monkeypatch):
     # the default stream's pairs, gathered with take and reduced in place,
     # must give the plain fancy-indexing formula's median to the bit
     n, k = 400, 20_000
     x = derive_rng(9, "median", width).standard_normal((n, width))
     i, j = _sample_distinct_pairs(n, k, np.random.default_rng(0))
     expected = float(np.median(np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=1))))
-    assert median_heuristic(x, max_pairs=k) == expected
+    monkeypatch.setattr(kernels, "MAX_PAIRS", k)
+    assert median_heuristic(x) == expected
 
 
-def test_median_default_pairs_are_drawn_once_and_read_only():
+def test_median_default_pairs_are_drawn_once_and_read_only(monkeypatch):
     n, k = 300, 5000
     x = derive_rng(10, "median").standard_normal((n, 3))
+    monkeypatch.setattr(kernels, "MAX_PAIRS", k)
     kernels._default_pairs.cache_clear()
-    first = median_heuristic(x, max_pairs=k)
-    assert median_heuristic(x, max_pairs=k) == first
+    first = median_heuristic(x)
+    assert median_heuristic(x) == first
     info = kernels._default_pairs.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     i, j = kernels._default_pairs(n, k)
@@ -103,13 +108,14 @@ def test_median_default_pairs_are_drawn_once_and_read_only():
             arr[0] = 0
 
 
-def test_median_passed_rng_draws_on_every_call():
+def test_median_passed_rng_draws_on_every_call(monkeypatch):
     # a caller's stream advances exactly as a twin passed to the sampler
     n, k = 300, 5000
     x = derive_rng(11, "median").standard_normal((n, 3))
+    monkeypatch.setattr(kernels, "MAX_PAIRS", k)
     r, twin = derive_rng(3, "pairs"), derive_rng(3, "pairs")
     for _ in range(2):
-        median_heuristic(x, max_pairs=k, rng=r)
+        median_heuristic(x, rng=r)
         _sample_distinct_pairs(n, k, twin)
         assert r.random() == twin.random()
 
@@ -117,8 +123,6 @@ def test_median_passed_rng_draws_on_every_call():
 def test_median_rejects_degenerate_input():
     with pytest.raises(ValueError):
         median_heuristic(np.ones((1, 2)))
-    with pytest.raises(ValueError):
-        median_heuristic(np.ones((3, 2)), max_pairs=0)
 
 
 def test_sample_distinct_pairs_is_exact():
@@ -293,8 +297,7 @@ def test_mean_embedding_single_row_equals_rff():
     fm = build_feature_map(2, 32, 1.0, derive_rng(13, "fm"))
     x = np.array([0.3, -1.2])
     emb = mean_embedding(fm, x[None, :])
-    assert np.array_equal(emb.values, rff_matrix(fm, x[None, :])[0])
-    assert emb.sample_count == 1
+    assert np.array_equal(emb, rff_matrix(fm, x[None, :])[0])
 
 
 def test_mean_embedding_duplicate_invariance():
@@ -302,8 +305,7 @@ def test_mean_embedding_duplicate_invariance():
     x = derive_rng(14, "x").standard_normal((6, 2))
     a = mean_embedding(fm, x)
     b = mean_embedding(fm, np.vstack([x, x]))
-    assert np.allclose(a.values, b.values, rtol=0.0, atol=1e-15)
-    assert b.sample_count == 12
+    assert np.allclose(a, b, rtol=0.0, atol=1e-15)
 
 
 def test_mean_embedding_matches_loop_oracle():
@@ -312,7 +314,7 @@ def test_mean_embedding_matches_loop_oracle():
     acc = np.zeros(16)
     for row in x:
         acc += np.sqrt(2.0 / 16) * np.cos(fm.frequencies @ row + fm.phases)
-    assert np.allclose(mean_embedding(fm, x).values, acc / 7, rtol=0.0, atol=1e-14)
+    assert np.allclose(mean_embedding(fm, x), acc / 7, rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

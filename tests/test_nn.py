@@ -3,9 +3,9 @@ import pytest
 
 from helpers import mlp_backward
 
-from mdsum.nn import (AdamState, Mlp, TrainOptions, adam_init, adam_step, fit_mlp,
-                      forward_batch, mlp_forward, mlp_from_payload,
-                      mlp_init, mlp_to_payload, mlp_vjp)
+from mdsum import nn
+from mdsum.nn import (Mlp, adam_init, adam_step, fit_mlp, forward_batch, mlp_forward,
+                      mlp_from_payload, mlp_init, mlp_to_payload, mlp_vjp)
 from mdsum.util import NumericalError, derive_rng
 
 
@@ -204,10 +204,11 @@ def test_adam_zero_gradient_keeps_parameters():
         assert np.array_equal(w, w0)
 
 
-def test_adam_first_step_is_signed_lr():
+def test_adam_first_step_is_signed_lr(monkeypatch):
     # with zero moments, m_hat/(sqrt(v_hat)+eps) ~= sign(g)
+    monkeypatch.setattr(nn, "LEARNING_RATE", 0.01)
     mlp = _zero_mlp([1, 1])
-    state = adam_init(mlp, learning_rate=0.01)
+    state = adam_init(mlp)
     from mdsum.nn import Gradients
     grads = Gradients(weights=[np.array([[2.5]])], biases=[np.array([-0.3])])
     adam_step(state, mlp, grads)
@@ -215,7 +216,7 @@ def test_adam_first_step_is_signed_lr():
     assert mlp.biases[0][0] == pytest.approx(0.01, rel=1e-6)
 
 
-def test_adam_matches_scalar_reference_loop():
+def test_adam_matches_scalar_reference_loop(monkeypatch):
     # oracle: textbook Adam recursion on f(w) = (w - 3)^2 written with plain
     # floats; the module must track it step for step
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
@@ -233,7 +234,8 @@ def test_adam_matches_scalar_reference_loop():
 
     mlp = _zero_mlp([1, 1])
     # keep the bias out of play; the single weight is the decision variable
-    state = adam_init(mlp, learning_rate=lr)
+    monkeypatch.setattr(nn, "LEARNING_RATE", lr)
+    state = adam_init(mlp)
     from mdsum.nn import Gradients
     for t in range(200):
         w = mlp.weights[0][0, 0]
@@ -263,12 +265,13 @@ def _linear_regression_data(rng, n=512):
     return x, y
 
 
-def test_fit_mlp_windowed_loss_is_non_increasing():
+def test_fit_mlp_windowed_loss_is_non_increasing(monkeypatch):
+    monkeypatch.setattr(nn, "LEARNING_RATE", 5e-3)
+    monkeypatch.setattr(nn, "BATCH_SIZE", 64)
     rng = derive_rng(11, "fit")
     x, y = _linear_regression_data(rng)
     mlp = mlp_init([3, 16, 2], rng)
-    report = fit_mlp(mlp, x, y, TrainOptions(learning_rate=5e-3, batch_size=64,
-                                             max_epochs=60, patience=60), rng)
+    report = fit_mlp(mlp, x, y, 60, 60, rng)
     losses = np.asarray(report.step_losses)
     assert losses.size >= 150
     window = 50
@@ -277,12 +280,13 @@ def test_fit_mlp_windowed_loss_is_non_increasing():
     assert means[-1] < 0.1 * means[0]
 
 
-def test_fit_mlp_early_stopping_restores_best():
+def test_fit_mlp_early_stopping_restores_best(monkeypatch):
+    monkeypatch.setattr(nn, "LEARNING_RATE", 5e-3)
+    monkeypatch.setattr(nn, "BATCH_SIZE", 32)
     rng = derive_rng(12, "fit")
     x, y = _linear_regression_data(rng, n=128)
     mlp = mlp_init([3, 8, 2], rng)
-    opts = TrainOptions(learning_rate=5e-3, batch_size=32, max_epochs=500, patience=5)
-    report = fit_mlp(mlp, x, y, opts, rng)
+    report = fit_mlp(mlp, x, y, 500, 5, rng)
     assert report.epochs < 500  # patience must trigger on a task this small
     out, _ = forward_batch(mlp, x)
     # restored parameters must reproduce a loss consistent with best_val_loss
@@ -294,7 +298,7 @@ def test_fit_mlp_is_deterministic():
         rng = derive_rng(13, "fit")
         x, y = _linear_regression_data(rng, n=256)
         mlp = mlp_init([3, 8, 2], derive_rng(13, "init"))
-        fit_mlp(mlp, x, y, TrainOptions(max_epochs=10, patience=10), derive_rng(13, "train"))
+        fit_mlp(mlp, x, y, 10, 10, derive_rng(13, "train"))
         return mlp.weights + mlp.biases
 
     a, b = run(), run()

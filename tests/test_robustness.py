@@ -61,7 +61,7 @@ def test_far_outliers_move_the_minimum_distance_summary_by_a_bounded_amount():
             observed = contaminate_gaussian(clean, EPS, delta,
                                             derive_rng(SEED, "bi-contaminate", j))
             s0 = task.summary(observed)
-            phi = _exact_objective(fm, mean_embedding(fm, observed).values)
+            phi = _exact_objective(fm, mean_embedding(fm, observed))
             s_star, _iters, _converged = lbfgs_minimize(phi, s0)
             assert phi(s_star).value <= phi(s0).value
             plain[delta].append(np.linalg.norm(s0 - s_clean))
