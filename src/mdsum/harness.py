@@ -7,8 +7,9 @@ A single config document drives the whole pipeline:
     -> results CSV + manifest
 
 Every stage artifact is cached in the output directory under a content key
-derived from the part of the config that affects it, so stages are
-skippable and reruns are cheap. All randomness is derived from
+derived from the part of the config that affects it and ARTIFACT_VERSION,
+so stages are skippable and reruns are cheap; the results CSV and manifest
+are keyed by the whole config and ARTIFACT_VERSION. All randomness is derived from
 (master_seed, stage tag, dataset index); together with ordered row
 emission this makes the results CSV byte-identical for a given config at
 any parallelism level. Stage timings go to the manifest, never to the CSV.
@@ -47,6 +48,10 @@ CSV_HEADER = ("task,method,eps,delta,seed,rmse,coverage,posterior_mmd,"
               "predictive_mmd,summary_oracle_dist,detected")
 
 MDN_COMPONENTS = 5
+# Raise whenever code changes what any stage writes or what the results CSV
+# holds: every cache key folds it in, so no file from older code is served.
+# Files under old keys stay where they are; delete the directory to clear them.
+ARTIFACT_VERSION = 1
 
 _TASKS = ("gaussian", "factor", "oup", "sir")
 _METHODS = ("npe_plain", "npe_mds")
@@ -159,8 +164,13 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+def _key(parts: dict) -> str:
+    return sha256_hex(canonical_json({**parts, "artifact_version": ARTIFACT_VERSION}))
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
-    return sha256_hex(canonical_json(config_to_dict(cfg)))
+    """sha256 over the config and ARTIFACT_VERSION, which key its results."""
+    return _key(config_to_dict(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +180,21 @@ def config_hash(cfg: ExperimentConfig) -> str:
 def _pool_key(cfg: ExperimentConfig) -> str:
     parts = {"task": cfg.task, "d": cfg.d, "obs_dim": cfg.obs_dim, "n_obs": cfg.n_obs,
              "horizon": cfg.horizon, "n_train": cfg.n_train, "master_seed": cfg.master_seed}
-    return sha256_hex(canonical_json(parts))[:16]
+    return _key(parts)[:16]
 
 def _decoder_key(cfg: ExperimentConfig) -> str:
     parts = {"pool": _pool_key(cfg), "n_features": cfg.n_features,
              "holdout_frac": cfg.holdout_frac, "alpha": cfg.alpha,
              "learning_rate": LEARNING_RATE, "batch_size": BATCH_SIZE,
              "max_epochs": cfg.max_epochs, "patience": cfg.patience}
-    return sha256_hex(canonical_json(parts))[:16]
+    return _key(parts)[:16]
 
 def _engine_key(cfg: ExperimentConfig) -> str:
     parts = {"pool": _pool_key(cfg), "engine": cfg.engine,
              "mdn_components": MDN_COMPONENTS, "learning_rate": LEARNING_RATE,
              "batch_size": BATCH_SIZE, "max_epochs": cfg.max_epochs,
              "patience": cfg.patience}
-    return sha256_hex(canonical_json(parts))[:16]
+    return _key(parts)[:16]
 
 
 def build_task(cfg: ExperimentConfig):
@@ -356,6 +366,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
         "config": config_to_dict(cfg),
         "config_hash": full_hash,
         "version": __version__,
+        "artifact_version": ARTIFACT_VERSION,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "complete": False,
         "stage_keys": {"pool": _pool_key(cfg), "decoder": _decoder_key(cfg),

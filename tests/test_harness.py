@@ -258,6 +258,29 @@ def test_pipeline_rerun_is_byte_identical_and_cached(tiny_run):
     assert manifest2["engine_hash"] == manifest["engine_hash"]
 
 
+def test_artifact_version_change_reruns_every_stage(tiny_run, tmp_path, monkeypatch):
+    cfg, out, manifest = tiny_run
+    names = [*manifest["artifacts"].values(), f"manifest-{config_hash(cfg)[:16]}.json"]
+    for name in names:
+        shutil.copy2(out / name, tmp_path)
+    old = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+    monkeypatch.setattr(mdsum.harness, "ARTIFACT_VERSION", mdsum.harness.ARTIFACT_VERSION + 1)
+    manifest2 = run_pipeline(cfg, tmp_path, jobs=1)
+    assert manifest2["artifact_version"] == manifest["artifact_version"] + 1
+    # every stage and the evaluation wrote its file under a new key ...
+    fresh = [*manifest2["artifacts"].values(), f"manifest-{config_hash(cfg)[:16]}.json"]
+    assert len(set(fresh)) == 5 and not set(fresh) & set(old)
+    assert all((tmp_path / name).exists() for name in fresh)
+    # ... leaving the old files as they were
+    for name, (data, mtime) in old.items():
+        assert (tmp_path / name).read_bytes() == data
+        assert (tmp_path / name).stat().st_mtime_ns == mtime
+    # the code is the same, so the rebuilt run reproduces the old one
+    assert ((tmp_path / manifest2["artifacts"]["results"]).read_bytes()
+            == old[manifest["artifacts"]["results"]][0])
+    assert manifest2["decoder_hash"] == manifest["decoder_hash"]
+
+
 def test_pipeline_parallel_rows_match_serial(tiny_run, tmp_path):
     cfg, out, manifest = tiny_run
     serial = (out / manifest["artifacts"]["results"]).read_bytes()
