@@ -86,6 +86,8 @@ def _load_observed(path):
     p = Path(path)
     if p.suffix == ".npz":
         with np.load(p, allow_pickle=False) as z:
+            if not z.files:
+                raise ValueError(f"{p} holds no arrays")
             key = "data" if "data" in z.files else z.files[0]
             return np.asarray(z[key], dtype=np.float64)
     if p.suffix == ".npy":

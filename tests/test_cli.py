@@ -125,6 +125,16 @@ def test_adapt_wrongly_shaped_data_exits_2(bench_run, tmp_path, capsys):
         assert "observations must have shape" in capsys.readouterr().err
 
 
+def test_adapt_on_an_empty_npz_exits_2(bench_run, tmp_path, capsys):
+    key = config_hash(config_from_dict(dict(TINY)))[:16]
+    manifest = json.loads((bench_run / f"manifest-{key}.json").read_text())
+    model = bench_run / manifest["artifacts"]["decoder"]
+    path = tmp_path / "empty.npz"
+    np.savez(path)
+    assert main(["adapt", "--model", str(model), "--data", str(path)]) == EXIT_CONFIG
+    assert f"{path} holds no arrays" in capsys.readouterr().err
+
+
 def test_adapt_on_a_non_finite_model_exits_3(bench_run, tmp_path, capsys):
     key = config_hash(config_from_dict(dict(TINY)))[:16]
     manifest = json.loads((bench_run / f"manifest-{key}.json").read_text())
