@@ -9,9 +9,9 @@ A single config document drives the whole pipeline:
 Every stage artifact is cached in the output directory under a content key
 derived from the part of the config that affects it and ARTIFACT_VERSION,
 so stages are skippable and reruns are cheap; the results CSV and manifest
-are keyed by the whole config and ARTIFACT_VERSION. All randomness is derived from
-(master_seed, stage tag, dataset index); together with ordered row
-emission this makes the results CSV byte-identical for a given config at
+are keyed by the whole config and ARTIFACT_VERSION. All randomness is
+derived from (master_seed, stage tag, dataset index); together with ordered
+row emission this makes the results CSV byte-identical for a given config at
 any parallelism level. Stage timings go to the manifest, never to the CSV.
 
 A config is one JSON document holding only the values its callers set;
