@@ -96,8 +96,7 @@ def _settings(trees):
 
 
 def _is_dataclass(node):
-    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
-               for d in node.decorator_list if isinstance(d, (ast.Name, ast.Call)))
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
 
 
 def _defaulted(module, tree):
