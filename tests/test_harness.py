@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -279,6 +280,43 @@ def test_artifact_version_change_reruns_every_stage(tiny_run, tmp_path, monkeypa
     assert ((tmp_path / manifest2["artifacts"]["results"]).read_bytes()
             == old[manifest["artifacts"]["results"]][0])
     assert manifest2["decoder_hash"] == manifest["decoder_hash"]
+
+
+# One tiny cold run per engine kind. The Gaussian run takes 1000 posterior
+# samples, so each posterior_mmd row measures the sampled median heuristic;
+# the OU run trains an MDN engine. Digests are of float64 bytes, so they
+# hold for one numpy and BLAS build.
+GOLDEN_CONFIGS = {
+    "gaussian": {**TINY, "n_posterior_samples": 1000, "n_test_datasets": 2,
+                 "contamination": [{"eps": 0.2, "delta": 4.0}], "master_seed": 18},
+    "oup": {"task": "oup", "n_obs": 10, "horizon": 8, "n_train": 300, "n_features": 16,
+            "max_epochs": 8, "patience": 5, "n_test_datasets": 2,
+            "n_posterior_samples": 200, "n_predictive": 20,
+            "contamination": [{"eps": 0.2, "delta": 4.0}], "master_seed": 18},
+}
+# (decoder_hash, engine_hash, sha256 of the results CSV) per ARTIFACT_VERSION
+GOLDEN_DIGESTS = {
+    1: {
+        "gaussian": ("8e187a7eb2553e31c2ea7218aaab048718f13117f8b9a46f0c7f07de99a3de0f",
+                     "1759c3368a5bd17da0a5a2bbf1b2f41652bf5db51e32536b69e9a040a307bebc",
+                     "6b57feb2b079392e32c1ee92463604d538f28ecb8dc6c86bbb7d83179338ed24"),
+        "oup": ("16552ac7f64c6fa53c0a4c689c0cc2f803186fd0b28338535d6ea3c451994527",
+                "68f93d08de66d07eb05161da61250ba22da7dde472890b1f4623d32bedefb457",
+                "f4d97c64f086c02bc789cc51de56d8da9f8cb2bb8ce779820908cfa9eff0f9c9"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_outputs_match_the_golden_digests_of_artifact_version(name, tmp_path):
+    version = mdsum.harness.ARTIFACT_VERSION
+    manifest = run_pipeline(config_from_dict(dict(GOLDEN_CONFIGS[name])), tmp_path, jobs=1)
+    csv = (tmp_path / manifest["artifacts"]["results"]).read_bytes()
+    got = (manifest["decoder_hash"], manifest["engine_hash"], hashlib.sha256(csv).hexdigest())
+    assert got == GOLDEN_DIGESTS.get(version, {}).get(name), (
+        f"{name}: a model file or results row differs from the digests pinned for "
+        f"ARTIFACT_VERSION {version}; if the change is meant, raise "
+        f"harness.ARTIFACT_VERSION and add its digests to GOLDEN_DIGESTS: {got}")
 
 
 def test_pipeline_parallel_rows_match_serial(tiny_run, tmp_path):
