@@ -23,8 +23,14 @@ from .util import as_2d_f64, as_float_array, check_finite, check_shape
 BANDWIDTH_FLOOR = 1e-8
 # distinct pairs above which median_heuristic takes a sample of this many
 MAX_PAIRS = 1_000_000
-# bytes of pair differences median_heuristic's sampled path gathers at a
-# time, which bounds its temporaries whatever the row width
+# numpy's axis-1 sum adds fewer terms than this in order, and more by
+# pairwise blocks of 8; median_heuristic's sampled path takes narrower rows
+# column by column, since an in-order sum over columns then gives its bits
+PAIRWISE_WIDTH = 8
+# pairs per block of the sampled path's column-wise sums (512 KiB a column)
+PAIR_BLOCK = 1 << 16
+# bytes of pair differences the sampled path gathers at a time on rows of
+# PAIRWISE_WIDTH or more columns, which bounds its temporaries at any width
 GATHER_BYTES = 1 << 24
 # pair-code count up to which _sample_distinct_pairs de-duplicates with a
 # one-byte-per-code mask (64 MiB, about 11 600 rows); above it, a mask is
@@ -91,6 +97,19 @@ def _default_pairs(n_rows: int, n_pairs: int):
     return i, j
 
 
+def _median_in_place(v: np.ndarray) -> float:
+    """np.median of a 1-D array, from one partition that reorders v.
+
+    np.median partitions at both middle ranks (and the last, for NaNs); one
+    partition at m = size // 2 leaves the lower middle value as the maximum
+    of v[:m], and np.mean of the pair rounds as np.median does.
+    """
+    m = v.size // 2
+    v.partition(m)
+    middle = v[m:m + 1] if v.size % 2 else np.array([v[:m].max(), v[m]])
+    return float(np.mean(middle))
+
+
 def median_heuristic(data, rng: np.random.Generator | None = None) -> float:
     """Median pairwise Euclidean distance, floored at BANDWIDTH_FLOOR.
 
@@ -100,10 +119,17 @@ def median_heuristic(data, rng: np.random.Generator | None = None) -> float:
     measured it is not drawn from). Without rng the pairs come from a fixed
     stream, so results are reproducible regardless; they depend only on
     (n, MAX_PAIRS), and are drawn once per such size and reused.
+
+    On the sampled path every distance has the bits of
+    np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=1)). Rows narrower than
+    PAIRWISE_WIDTH add their squared column differences one column after
+    another, in blocks of PAIR_BLOCK pairs, as numpy adds so few terms;
+    wider rows, where numpy's sum goes pairwise, are gathered whole, in
+    GATHER_BYTES chunks, and reduced by np.sum itself.
     """
     x = as_2d_f64("data", data)
     check_finite("data", x)
-    n = x.shape[0]
+    n, width = x.shape
     if n < 2:
         raise ValueError(f"median heuristic needs at least 2 rows, got {n}")
     total = n * (n - 1) // 2
@@ -114,20 +140,32 @@ def median_heuristic(data, rng: np.random.Generator | None = None) -> float:
             i, j = _default_pairs(n, MAX_PAIRS)
         else:
             i, j = _sample_distinct_pairs(n, MAX_PAIRS, rng)
-        # take gathers rows far faster than fancy indexing; the in-place
-        # steps and numpy's axis-1 sum keep every distance bit-identical
-        chunk = max(1, GATHER_BYTES // x[0].nbytes)
+        # take gathers far faster than fancy indexing, and the in-place
+        # steps keep every distance bit-identical
         dists = np.empty(MAX_PAIRS)
-        for start in range(0, MAX_PAIRS, chunk):
-            rows = slice(start, start + chunk)
-            diff = x.take(i[rows], axis=0)
-            diff -= x.take(j[rows], axis=0)
-            diff *= diff
-            np.sum(diff, axis=1, out=dists[rows])
+        if width < PAIRWISE_WIDTH:
+            cols = x.T.copy()  # each column contiguous
+            for start in range(0, MAX_PAIRS, PAIR_BLOCK):
+                rows = slice(start, start + PAIR_BLOCK)
+                for c, col in enumerate(cols):
+                    diff = col.take(i[rows])
+                    diff -= col.take(j[rows])
+                    if c == 0:
+                        np.multiply(diff, diff, out=dists[rows])
+                    else:
+                        diff *= diff
+                        dists[rows] += diff
+        else:
+            chunk = max(1, GATHER_BYTES // x[0].nbytes)
+            for start in range(0, MAX_PAIRS, chunk):
+                rows = slice(start, start + chunk)
+                diff = x.take(i[rows], axis=0)
+                diff -= x.take(j[rows], axis=0)
+                diff *= diff
+                np.sum(diff, axis=1, out=dists[rows])
         np.sqrt(dists, out=dists)
     # dists is this call's own buffer, so the median may reorder it
-    med = float(np.median(dists, overwrite_input=True))
-    return max(med, BANDWIDTH_FLOOR)
+    return max(_median_in_place(dists), BANDWIDTH_FLOOR)
 
 
 def build_feature_map(dim: int, n_features: int, bandwidth: float,

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from mdsum import kernels
 from mdsum.kernels import (BANDWIDTH_FLOOR, GATHER_BYTES, FeatureMap, _sample_distinct_pairs,
@@ -80,16 +80,71 @@ def test_median_sampled_gather_is_exact_and_bounded(monkeypatch):
     assert peak < full_gather_bytes / 4
 
 
-@pytest.mark.parametrize("width", [2, 7, 8, 25])  # numpy's pairwise sum starts at 8 columns
+def _sampled_formula(x, i, j):
+    """The plain fancy-indexing median of a pair sample's distances."""
+    return float(np.median(np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=1))))
+
+
+# rows below PAIRWISE_WIDTH (8) take the column path, from 8 the row gather
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 25])
 def test_median_sampled_default_stream_is_exact(width, monkeypatch):
-    # the default stream's pairs, gathered with take and reduced in place,
-    # must give the plain fancy-indexing formula's median to the bit
+    # the default stream's pairs and a passed rng's, summed column by column
+    # or gathered with take and reduced in place, must give the plain
+    # fancy-indexing formula's median to the bit
     n, k = 400, 20_000
     x = derive_rng(9, "median", width).standard_normal((n, width))
-    i, j = _sample_distinct_pairs(n, k, np.random.default_rng(0))
-    expected = float(np.median(np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=1))))
     monkeypatch.setattr(kernels, "MAX_PAIRS", k)
-    assert median_heuristic(x) == expected
+    i, j = _sample_distinct_pairs(n, k, np.random.default_rng(0))
+    assert median_heuristic(x) == _sampled_formula(x, i, j)
+    i, j = _sample_distinct_pairs(n, k, derive_rng(12, "pairs", width))
+    assert median_heuristic(x, rng=derive_rng(12, "pairs", width)) == _sampled_formula(x, i, j)
+
+
+@pytest.mark.parametrize("width", [2, 5, 9])
+def test_median_sampled_is_exact_on_tied_rows(width, monkeypatch):
+    # rounded rows repeat distances, so the middle ranks fall inside ties;
+    # an odd pair count puts the median on one rank, an even one on two
+    x = np.round(derive_rng(13, "median", width).standard_normal((500, width)), 1)
+    for k in (20_001, 20_000):
+        monkeypatch.setattr(kernels, "MAX_PAIRS", k)
+        i, j = _sample_distinct_pairs(500, k, np.random.default_rng(0))
+        assert median_heuristic(x) == _sampled_formula(x, i, j)
+
+
+@pytest.mark.parametrize("n_rows", [301, 302])  # 45 150 and 45 451 pairs
+def test_median_exact_path_matches_numpy_median(n_rows):
+    for tied in (False, True):
+        x = derive_rng(14, "median", n_rows).standard_normal((n_rows, 3))
+        if tied:
+            x = np.round(x, 1)
+        assert median_heuristic(x) == float(np.median(pdist(x)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 1001, 1002])
+def test_median_in_place_equals_numpy_median(size):
+    rng = derive_rng(15, "median", size)
+    for v in (rng.standard_normal(size), np.round(rng.standard_normal(size), 1),
+              np.full(size, 2.5)):
+        expected = float(np.median(v))
+        assert kernels._median_in_place(v.copy()) == expected
+
+
+def test_median_sampled_column_path_is_bounded(monkeypatch):
+    # past the default pairs, drawn before the trace, the column path holds
+    # the distances, one transposed copy of the rows and a few PAIR_BLOCK
+    # temporaries: never a full-length difference, as the row gather's
+    # (n_pairs, width) would be
+    x = derive_rng(16, "median").standard_normal((3000, 7))
+    n_pairs = 1_000_000
+    monkeypatch.setattr(kernels, "MAX_PAIRS", n_pairs)
+    kernels._default_pairs(3000, n_pairs)
+    tracemalloc.start()
+    try:
+        median_heuristic(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_pairs + x.nbytes + 8 * 8 * kernels.PAIR_BLOCK
 
 
 def test_median_default_pairs_are_drawn_once_and_read_only(monkeypatch):
