@@ -30,7 +30,7 @@ from .nn import Mlp, fit_mlp, mlp_forward, mlp_from_payload, mlp_init, mlp_to_pa
 from .simulators import TrainingPool, gaussian_posterior
 from .util import as_float_array, check_shape, encode_floats, map_arrays, payload_hash
 
-_CHUNK_ELEMS = 2 ** 24  # cap on rows * K per feature chunk, keeps peaks ~130 MB
+_CHUNK_ELEMS = 2 ** 20  # cap on rows * K per feature chunk: one 8 MB float64 block
 _STD_FLOOR = 1e-12
 
 HIDDEN = (256, 256)  # hidden widths of the decoder and MDN networks

@@ -8,6 +8,7 @@ from helpers import (closed_form_embedding, fd_gradient, fixed_decoder, mdn_log_
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from mdsum import inference
 from mdsum.inference import (
     AnalyticGaussianEngine,
     MdnEngine,
@@ -70,6 +71,20 @@ def test_pool_feature_means_matches_per_dataset_loop():
     for i in range(12):
         assert np.allclose(got[i], mean_embedding(fm, pool.datasets[i]),
                            rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("per", [1, 5, 8, 11, 12])  # datasets per feature chunk
+def test_pool_feature_means_bits_do_not_depend_on_the_chunk(per, monkeypatch):
+    # with n_obs * K a multiple of 8 (7 * 32 here; every committed K is one),
+    # every chunk length gives the one-chunk bits; at other shapes the BLAS
+    # product in rff_matrix rounds some rows by the chunk's row count
+    # (n_obs 37, K 300 does)
+    pool = small_pool(m=12, n_obs=7, seed=13)
+    fm = build_feature_map(2, 32, 1.3, derive_rng(13, "fm"))
+    monkeypatch.setattr(inference, "_CHUNK_ELEMS", 12 * 7 * 32)
+    whole = pool_feature_means(fm, pool.datasets)
+    monkeypatch.setattr(inference, "_CHUNK_ELEMS", per * 7 * 32)
+    assert pool_feature_means(fm, pool.datasets).tobytes() == whole.tobytes()
 
 
 def test_train_decoder_holdout_is_reserved(trained_decoder):
