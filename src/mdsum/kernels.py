@@ -142,19 +142,17 @@ def median_heuristic(data, rng: np.random.Generator | None = None) -> float:
             i, j = _sample_distinct_pairs(n, MAX_PAIRS, rng)
         # take gathers far faster than fancy indexing, and the in-place
         # steps keep every distance bit-identical
-        dists = np.empty(MAX_PAIRS)
+        dists = np.zeros(MAX_PAIRS)
         if width < PAIRWISE_WIDTH:
             cols = x.T.copy()  # each column contiguous
             for start in range(0, MAX_PAIRS, PAIR_BLOCK):
                 rows = slice(start, start + PAIR_BLOCK)
-                for c, col in enumerate(cols):
+                block = dists[rows]
+                for col in cols:
                     diff = col.take(i[rows])
                     diff -= col.take(j[rows])
-                    if c == 0:
-                        np.multiply(diff, diff, out=dists[rows])
-                    else:
-                        diff *= diff
-                        dists[rows] += diff
+                    diff *= diff
+                    block += diff  # 0.0 + a square is the square's own bits
         else:
             chunk = max(1, GATHER_BYTES // x[0].nbytes)
             for start in range(0, MAX_PAIRS, chunk):
