@@ -80,24 +80,29 @@ def test_median_sampled_gather_is_exact_and_bounded(monkeypatch):
     assert peak < full_gather_bytes / 4
 
 
-def _sampled_formula(x, i, j):
-    """The plain fancy-indexing median of a pair sample's distances."""
-    return float(np.median(np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=1))))
+def _sampled_distances(x, i, j):
+    """The plain fancy-indexing distances of a pair sample."""
+    return np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=1))
 
 
 # rows below PAIRWISE_WIDTH (8) take the column path, from 8 the row gather
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 25])
 def test_median_sampled_default_stream_is_exact(width, monkeypatch):
-    # the default stream's pairs and a passed rng's, summed column by column
-    # or gathered with take and reduced in place, must give the plain
-    # fancy-indexing formula's median to the bit
+    # every distance of the default stream's pairs and of a passed rng's,
+    # summed column by column or gathered with take and reduced in place,
+    # must equal the plain fancy-indexing formula's to the bit, and so
+    # must the median
     n, k = 400, 20_000
     x = derive_rng(9, "median", width).standard_normal((n, width))
     monkeypatch.setattr(kernels, "MAX_PAIRS", k)
-    i, j = _sample_distinct_pairs(n, k, np.random.default_rng(0))
-    assert median_heuristic(x) == _sampled_formula(x, i, j)
-    i, j = _sample_distinct_pairs(n, k, derive_rng(12, "pairs", width))
-    assert median_heuristic(x, rng=derive_rng(12, "pairs", width)) == _sampled_formula(x, i, j)
+    seen = []
+    select = kernels._median_in_place
+    monkeypatch.setattr(kernels, "_median_in_place", lambda v: (seen.append(v.copy()), select(v))[1])
+    for rng, twin in ((None, np.random.default_rng(0)),
+                      (derive_rng(12, "pairs", width), derive_rng(12, "pairs", width))):
+        expected = _sampled_distances(x, *_sample_distinct_pairs(n, k, twin))
+        assert median_heuristic(x, rng=rng) == float(np.median(expected))
+        assert seen.pop().tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("width", [2, 5, 9])
@@ -108,7 +113,7 @@ def test_median_sampled_is_exact_on_tied_rows(width, monkeypatch):
     for k in (20_001, 20_000):
         monkeypatch.setattr(kernels, "MAX_PAIRS", k)
         i, j = _sample_distinct_pairs(500, k, np.random.default_rng(0))
-        assert median_heuristic(x) == _sampled_formula(x, i, j)
+        assert median_heuristic(x) == float(np.median(_sampled_distances(x, i, j)))
 
 
 @pytest.mark.parametrize("n_rows", [301, 302])  # 45 150 and 45 451 pairs
@@ -129,14 +134,13 @@ def test_median_in_place_equals_numpy_median(size):
         assert kernels._median_in_place(v.copy()) == expected
 
 
-def test_median_sampled_column_path_is_bounded(monkeypatch):
+def test_median_sampled_column_path_is_bounded():
     # past the default pairs, drawn before the trace, the column path holds
     # the distances, one transposed copy of the rows and a few PAIR_BLOCK
     # temporaries: never a full-length difference, as the row gather's
     # (n_pairs, width) would be
     x = derive_rng(16, "median").standard_normal((3000, 7))
-    n_pairs = 1_000_000
-    monkeypatch.setattr(kernels, "MAX_PAIRS", n_pairs)
+    n_pairs = kernels.MAX_PAIRS
     kernels._default_pairs(3000, n_pairs)
     tracemalloc.start()
     try:
