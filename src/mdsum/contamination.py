@@ -1,14 +1,16 @@
 """Controlled corruption of observed datasets.
 
-Three mechanisms, one per benchmark family:
+Three mechanisms, one per benchmark family. Each task has one kind, kept
+in a single per-task table:
 
 - row outliers: each row is independently replaced (prob eps) by z * delta
   * ones, z a random sign, for the Gaussian-family tasks;
 - off-prior trajectories: round(eps * N) trajectories are swapped for
-  simulations at a fixed out-of-prior OU parameter with inflated noise;
+  simulations at a fixed out-of-prior OU parameter with inflated noise,
+  for the OU task;
 - weekend underreporting: in round(eps * N) trajectories, 5% of each
   Saturday/Sunday count moves to the following Monday (day 0 is a Monday;
-  mass whose Monday falls past the horizon is dropped).
+  mass whose Monday falls past the horizon is dropped), for the SIR task.
 
 eps = 0 always returns the input unchanged.
 """
@@ -25,7 +27,9 @@ from .util import as_2d_f64
 OUP_CONTAMINANT_THETA = (-0.5, 1.0)
 OUP_CONTAMINANT_SIGMA2 = 0.5
 WEEKEND_FRACTION = 0.05
-_KINDS = {"row_outliers", "offprior_trajectories", "weekend_underreporting"}
+# the one contamination kind of each task
+_TASK_KIND = {"gaussian": "row_outliers", "factor": "row_outliers",
+              "oup": "offprior_trajectories", "sir": "weekend_underreporting"}
 
 
 @dataclass
@@ -35,7 +39,7 @@ class ContaminationSpec:
     delta: float = 0.0  # row_outliers only
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _TASK_KIND.values():
             raise ValueError(f"unknown contamination kind {self.kind!r}")
         if not (0.0 <= self.eps <= 1.0):
             raise ValueError(f"eps must lie in [0, 1], got {self.eps}")
@@ -44,13 +48,9 @@ class ContaminationSpec:
 
 
 def default_kind(task_name: str) -> str:
-    if task_name in ("gaussian", "factor"):
-        return "row_outliers"
-    if task_name == "oup":
-        return "offprior_trajectories"
-    if task_name == "sir":
-        return "weekend_underreporting"
-    raise ValueError(f"no contamination kind for task {task_name!r}")
+    if task_name not in _TASK_KIND:
+        raise ValueError(f"no contamination kind for task {task_name!r}")
+    return _TASK_KIND[task_name]
 
 
 def _count(eps: float, n: int) -> int:
@@ -116,17 +116,10 @@ def contaminate_sir(data, eps: float, rng: np.random.Generator) -> np.ndarray:
 
 def apply_contamination(spec: ContaminationSpec, task: TaskSpec, data,
                         rng: np.random.Generator) -> np.ndarray:
+    if _TASK_KIND.get(task.name) != spec.kind:
+        raise ValueError(f"{spec.kind} does not apply to task {task.name!r}")
     if spec.kind == "row_outliers":
-        if task.name not in ("gaussian", "factor"):
-            raise ValueError(f"row_outliers does not apply to task {task.name!r}")
         return contaminate_gaussian(data, spec.eps, spec.delta, rng)
     if spec.kind == "offprior_trajectories":
-        if task.name != "oup":
-            raise ValueError(f"offprior_trajectories does not apply to task {task.name!r}")
         return contaminate_oup(data, spec.eps, rng)
-    if spec.kind == "weekend_underreporting":
-        if task.name != "sir":
-            raise ValueError(f"weekend_underreporting does not apply to task {task.name!r}")
-        return contaminate_sir(data, spec.eps, rng)
-    raise ValueError(f"unknown contamination kind {spec.kind!r}")
-
+    return contaminate_sir(data, spec.eps, rng)

@@ -40,7 +40,7 @@ from .inference import (AnalyticGaussianEngine, decoder_hash, decoder_load, deco
 from .kernels import build_feature_map, mean_embedding, median_heuristic
 from .metrics import coverage, predictive_mmd, rmse, sample_mmd, summary_oracle_distance
 from .nn import BATCH_SIZE, LEARNING_RATE
-from .simulators import build_training_pool, factor_task, load_pool, make_task, save_pool
+from .simulators import TASKS, build_training_pool, load_pool, make_task, save_pool
 from .util import NumericalError, canonical_json, derive_rng, sha256_hex
 from . import __version__
 
@@ -53,7 +53,8 @@ MDN_COMPONENTS = 5
 # Files under old keys stay where they are; delete the directory to clear them.
 ARTIFACT_VERSION = 1
 
-_TASKS = ("gaussian", "factor", "oup", "sir")
+_TASKS = tuple(TASKS)
+_SIZES = {key for _build, keys in TASKS.values() for key in keys}
 _METHODS = ("npe_plain", "npe_mds")
 _COUNTS = ("d", "obs_dim", "n_obs", "horizon", "n_train", "n_features", "max_epochs",
            "patience", "n_test_datasets", "n_posterior_samples", "n_predictive")
@@ -109,8 +110,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**raw)
     if cfg.task not in _TASKS:
         raise ValueError(f"unknown task {cfg.task!r} (expected one of {_TASKS})")
-    if cfg.horizon is not None and cfg.task not in _DEFAULT_HORIZON:
-        raise ValueError(f"horizon only applies to trajectory tasks, not {cfg.task!r}")
+    foreign = sorted(_SIZES.intersection(raw).difference(TASKS[cfg.task][1]))
+    if foreign:
+        raise ValueError(f"{', '.join(foreign)} does not apply to task {cfg.task!r}")
     if cfg.horizon is None:
         cfg.horizon = _DEFAULT_HORIZON.get(cfg.task)
     if cfg.n_train is None:
@@ -123,6 +125,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         value = getattr(cfg, name)
         if value is not None and not (_is_int(value) and value >= 1):
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if cfg.n_predictive < 2:
+        raise ValueError(f"n_predictive must be >= 2 (predictive_mmd compares replicates), "
+                         f"got {cfg.n_predictive}")
     if not isinstance(cfg.methods, list) or not cfg.methods:
         raise ValueError("methods must be a non-empty list")
     for m in cfg.methods:
@@ -198,17 +203,13 @@ def _engine_key(cfg: ExperimentConfig) -> str:
 
 
 def build_task(cfg: ExperimentConfig):
-    if cfg.task == "gaussian":
-        return make_task("gaussian", d=cfg.d, n_obs=cfg.n_obs)
+    """The config's task from exactly the keys it takes. A factor task's
+    loading matrix is frozen from its own seed stream."""
+    params = {key: getattr(cfg, key) for key in TASKS[cfg.task][1]}
     if cfg.task == "factor":
-        # the loading matrix is frozen from its own seed stream
-        return factor_task(obs_dim=cfg.obs_dim, n_obs=cfg.n_obs,
-                           rng=derive_rng(cfg.master_seed, "factor-loading"))
-    if cfg.task == "oup":
-        return make_task("oup", n_obs=cfg.n_obs, horizon=cfg.horizon)
-    if cfg.task == "sir":
-        return make_task("sir", n_obs=cfg.n_obs, horizon=cfg.horizon)
-    raise ValueError(f"unknown task {cfg.task!r}")
+        rng = derive_rng(cfg.master_seed, "factor-loading")
+        params["loading"] = rng.standard_normal((cfg.obs_dim, 2))
+    return make_task(cfg.task, **params)
 
 
 def stage_pool(cfg: ExperimentConfig, out_dir: Path, task=None):

@@ -1,7 +1,9 @@
 """Benchmark simulators and their hand-crafted summary statistics.
 
-Each task bundles a prior, three simulators and a fixed summary function,
-and its simulators share one draw. simulate_many(thetas, rngs) produces one
+Each task is declared once. Its constructor gives only a prior, one
+batched draw, a summary statistic and, for a bounded prior, a support
+check; _task builds the TaskSpec from them, so every task's simulators and
+summary share one code path. simulate_many(thetas, rngs) produces one
 dataset (N rows, one row per observation or trajectory) per parameter,
 dataset m drawing its noise from rngs[m] alone; it checks shapes but not
 the prior support. simulate(theta, rng) is the support check plus a
@@ -10,6 +12,11 @@ one-row case: it takes (n, theta_dim) parameters and returns (n, obs_dim),
 one observation row per parameter, each row drawing its noise from rng in
 turn, so posterior-predictive resampling can probe out-of-prior parameters
 in one call and gets the same rows as n sequential single-row simulations.
+summary(data) checks the dataset's shape and applies the statistic.
+
+TASKS maps each task name to its constructor and the sizes it takes,
+which are also its config keys; make_task rebuilds a task from its name
+and params through it.
 
 The OU and SIR tasks share one Euler loop each, driven by a pre-drawn noise
 block of shape (horizon, n_traj) and one parameter for all paths or one
@@ -69,13 +76,6 @@ class TrainingPool:
     summaries: np.ndarray  # (M, summary_dim)
 
 
-def _check_dataset(data, n_obs, obs_dim, name):
-    x = np.asarray(data, dtype=np.float64)
-    if x.shape != (n_obs, obs_dim):
-        raise ValueError(f"{name} expects data of shape ({n_obs}, {obs_dim}), got {x.shape}")
-    return x
-
-
 def _check_thetas(thetas, theta_dim, rngs=None):
     t = np.asarray(thetas, dtype=np.float64)
     if t.ndim != 2 or t.shape[1] != theta_dim:
@@ -85,18 +85,16 @@ def _check_thetas(thetas, theta_dim, rngs=None):
     return t
 
 
-def _check_theta(theta, theta_dim):
-    t = np.asarray(theta, dtype=np.float64)
-    if t.shape != (theta_dim,):
-        raise ValueError(f"theta must have shape ({theta_dim},), got {t.shape}")
-    return t
+def _task(name, params, theta_dim, obs_dim, summary_dim, prior_sample, draw, statistic,
+          support=None) -> TaskSpec:
+    """The TaskSpec of a task from its parts. params holds n_obs and
+    whatever else rebuilds the task. draw(t, rngs, rows) -> (M, rows,
+    obs_dim) takes checked (M, theta_dim) parameters and draws dataset m's
+    noise from rngs[m]. statistic maps a checked (n_obs, obs_dim) dataset
+    to its summary. support(theta), if given, raises ValueError for a
+    parameter outside the prior."""
+    n_obs = params["n_obs"]
 
-
-def _batched(draw, theta_dim, n_obs):
-    """simulate_many and simulate_raw of a task from its draw(t, rngs, rows)
-    -> (M, rows, obs_dim), which takes checked (M, theta_dim) parameters and
-    draws dataset m's noise from rngs[m]. simulate_raw is the one-row case,
-    its rows drawing from one rng in turn."""
     def simulate_many(thetas, rngs):
         return draw(_check_thetas(thetas, theta_dim, rngs), rngs, n_obs)
 
@@ -104,7 +102,25 @@ def _batched(draw, theta_dim, n_obs):
         t = _check_thetas(thetas, theta_dim)
         return draw(t, [rng] * t.shape[0], 1)[:, 0]
 
-    return simulate_many, simulate_raw
+    def simulate(theta, rng):
+        t = np.asarray(theta, dtype=np.float64)
+        if t.shape != (theta_dim,):
+            raise ValueError(f"theta must have shape ({theta_dim},), got {t.shape}")
+        if support is not None:
+            support(t)
+        return simulate_many(t[None], [rng])[0]
+
+    def summary(data):
+        x = np.asarray(data, dtype=np.float64)
+        if x.shape != (n_obs, obs_dim):
+            raise ValueError(f"{name}_task expects data of shape ({n_obs}, {obs_dim}), "
+                             f"got {x.shape}")
+        return statistic(x)
+
+    return TaskSpec(name=name, theta_dim=theta_dim, obs_dim=obs_dim, n_obs=n_obs,
+                    summary_dim=summary_dim, params=params, prior_sample=prior_sample,
+                    simulate=simulate, simulate_many=simulate_many,
+                    simulate_raw=simulate_raw, summary=summary)
 
 
 def _noise_blocks(rngs, shape) -> np.ndarray:
@@ -120,33 +136,18 @@ def _noise_blocks(rngs, shape) -> np.ndarray:
 # Gaussian location
 # ---------------------------------------------------------------------------
 
-def gaussian_task(d: int = 2, n_obs: int = 100) -> TaskSpec:
+def gaussian_task(d: int, n_obs: int) -> TaskSpec:
     """theta ~ N(0, I_d); observations x_i ~ N(theta, I_d); summary = sample mean."""
     if d < 1 or n_obs < 1:
         raise ValueError(f"d and n_obs must be positive, got {d}, {n_obs}")
-
-    def prior_sample(rng):
-        return rng.standard_normal(d)
 
     def draw(t, rngs, rows):
         data = _noise_blocks(rngs, (rows, d))
         data += t[:, None, :]
         return data
 
-    simulate_many, simulate_raw = _batched(draw, d, n_obs)
-
-    def simulate(theta, rng):
-        return simulate_many(_check_theta(theta, d)[None], [rng])[0]
-
-    def summary(data):
-        return _check_dataset(data, n_obs, d, "gaussian_task").mean(axis=0)
-
-    return TaskSpec(
-        name="gaussian", theta_dim=d, obs_dim=d, n_obs=n_obs, summary_dim=d,
-        params={"d": d, "n_obs": n_obs},
-        prior_sample=prior_sample, simulate=simulate, simulate_many=simulate_many,
-        simulate_raw=simulate_raw, summary=summary,
-    )
+    return _task("gaussian", {"d": d, "n_obs": n_obs}, d, d, d,
+                 lambda rng: rng.standard_normal(d), draw, lambda x: x.mean(axis=0))
 
 
 def gaussian_posterior(summary: np.ndarray, n_obs: int):
@@ -167,33 +168,21 @@ def gaussian_posterior(summary: np.ndarray, n_obs: int):
 # Gaussian linear factor model
 # ---------------------------------------------------------------------------
 
-def factor_task(obs_dim: int = 5, n_obs: int = 100,
-                rng: np.random.Generator | None = None,
-                loading: np.ndarray | None = None) -> TaskSpec:
+def factor_task(obs_dim: int, n_obs: int, loading) -> TaskSpec:
     """x_i ~ N(A theta, I_D) with a frozen (D, 2) loading matrix A.
 
-    A is drawn once (i.i.d. standard normal, redrawn while nearly singular)
-    and stored in params so the task can be reconstructed exactly. The
-    summary is the least-squares readout pinv(A) @ xbar.
+    A is stored in params so the task can be rebuilt exactly; the harness
+    draws it i.i.d. standard normal from its own seed stream. The summary
+    is the least-squares readout pinv(A) @ xbar.
     """
     if obs_dim < 2 or n_obs < 1:
         raise ValueError(f"obs_dim must be >= 2 and n_obs positive, got {obs_dim}, {n_obs}")
-    if loading is None:
-        if rng is None:
-            raise ValueError("factor_task needs either rng or an explicit loading matrix")
-        while True:
-            loading = rng.standard_normal((obs_dim, 2))
-            if np.linalg.svd(loading, compute_uv=False).min() >= 1e-8:
-                break
     a = np.asarray(loading, dtype=np.float64)
     if a.shape != (obs_dim, 2):
         raise ValueError(f"loading must have shape ({obs_dim}, 2), got {a.shape}")
     if np.linalg.svd(a, compute_uv=False).min() < 1e-8:
         raise ValueError("loading matrix is numerically singular")
     pinv = np.linalg.pinv(a)
-
-    def prior_sample(rng):
-        return rng.standard_normal(2)
 
     def draw(t, rngs, rows):
         data = _noise_blocks(rngs, (rows, obs_dim))
@@ -202,21 +191,9 @@ def factor_task(obs_dim: int = 5, n_obs: int = 100,
         data += np.array([a @ row for row in t]).reshape(t.shape[0], 1, obs_dim)
         return data
 
-    simulate_many, simulate_raw = _batched(draw, 2, n_obs)
-
-    def simulate(theta, rng):
-        return simulate_many(_check_theta(theta, 2)[None], [rng])[0]
-
-    def summary(data):
-        xbar = _check_dataset(data, n_obs, obs_dim, "factor_task").mean(axis=0)
-        return pinv @ xbar
-
-    return TaskSpec(
-        name="factor", theta_dim=2, obs_dim=obs_dim, n_obs=n_obs, summary_dim=2,
-        params={"obs_dim": obs_dim, "n_obs": n_obs, "loading": a.tolist()},
-        prior_sample=prior_sample, simulate=simulate, simulate_many=simulate_many,
-        simulate_raw=simulate_raw, summary=summary,
-    )
+    return _task("factor", {"obs_dim": obs_dim, "n_obs": n_obs, "loading": a.tolist()},
+                 2, obs_dim, 2, lambda rng: rng.standard_normal(2), draw,
+                 lambda x: pinv @ x.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +252,7 @@ def _lag1_corr_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where((sa == 0.0) | (sb == 0.0) | ~np.isfinite(c), 0.0, c)
 
 
-def oup_task(n_obs: int = 100, horizon: int = 25) -> TaskSpec:
+def oup_task(n_obs: int, horizon: int) -> TaskSpec:
     """OU process with prior theta ~ U[0,2] x U[-2,2], sigma^2 = 0.1, X0 = 10.
 
     Summary: grand mean, grand variance, and the lag-1 autocorrelation of
@@ -285,33 +262,18 @@ def oup_task(n_obs: int = 100, horizon: int = 25) -> TaskSpec:
         raise ValueError(f"n_obs must be positive and horizon >= 2, got {n_obs}, {horizon}")
     (lo1, hi1), (lo2, hi2) = OUP_BOUNDS
 
-    def prior_sample(rng):
-        return rng.uniform([lo1, lo2], [hi1, hi2])
-
-    def draw(t, rngs, rows):
-        return _trajectory_datasets(_oup_paths, t, rngs, rows, horizon)
-
-    simulate_many, simulate_raw = _batched(draw, 2, n_obs)
-
-    def simulate(theta, rng):
-        t = _check_theta(theta, 2)
+    def support(t):
         if not (lo1 <= t[0] <= hi1 and lo2 <= t[1] <= hi2):
             raise ValueError(f"theta {t.tolist()} outside the prior box {OUP_BOUNDS}")
-        return simulate_many(t[None], [rng])[0]
 
-    def summary(data):
-        x = _check_dataset(data, n_obs, horizon, "oup_task")
-        s1 = float(x.mean())
-        s2 = float(x.var())
-        s3 = float(_lag1_corr_rows(x[:, :-1].ravel()[None], x[:, 1:].ravel()[None])[0])
-        return np.array([s1, s2, s3])
+    def statistic(x):
+        lag1 = _lag1_corr_rows(x[:, :-1].ravel()[None], x[:, 1:].ravel()[None])[0]
+        return np.array([float(x.mean()), float(x.var()), float(lag1)])
 
-    return TaskSpec(
-        name="oup", theta_dim=2, obs_dim=horizon, n_obs=n_obs, summary_dim=3,
-        params={"n_obs": n_obs, "horizon": horizon},
-        prior_sample=prior_sample, simulate=simulate, simulate_many=simulate_many,
-        simulate_raw=simulate_raw, summary=summary,
-    )
+    return _task("oup", {"n_obs": n_obs, "horizon": horizon}, 2, horizon, 3,
+                 lambda rng: rng.uniform([lo1, lo2], [hi1, hi2]),
+                 lambda t, rngs, rows: _trajectory_datasets(_oup_paths, t, rngs, rows, horizon),
+                 statistic, support)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +283,17 @@ def oup_task(n_obs: int = 100, horizon: int = 25) -> TaskSpec:
 SIR_POPULATION = 10_000.0
 SIR_SIGMA = 0.05
 SIR_ETA = 0.05
+SIR_DT = 1.0
 SIR_INIT = (0.999, 0.001, 0.0)
 SIR_RATE_MAX = 0.5
 
 
-def _sir_paths(theta, noise: np.ndarray, sigma: float = SIR_SIGMA, eta: float = SIR_ETA,
-               dt: float = 1.0, return_compartments: bool = False):
+def _sir_paths(theta, noise: np.ndarray, return_compartments: bool = False):
     """Daily infection counts from an SIR model with a diffusing contact rate.
 
     The reproduction number follows dR0 = eta (b/g - R0) dt + sigma
-    sqrt(|R0|) dW, reflected at zero and started at its reversion level b/g.
+    sqrt(|R0|) dW, reflected at zero and started at its reversion level b/g,
+    with sigma = SIR_SIGMA, eta = SIR_ETA and dt = SIR_DT read at call time.
     The effective transmission rate is g * R0. Compartments are clipped to
     [0, 1] after every Euler step; counts are population * I_t for
     t = 1 .. horizon.
@@ -343,6 +306,7 @@ def _sir_paths(theta, noise: np.ndarray, sigma: float = SIR_SIGMA, eta: float = 
     beta, gamma = th[..., 0], th[..., 1]
     r0_bar = np.divide(beta, gamma, out=np.zeros_like(beta), where=gamma != 0.0)
     horizon, n_traj = noise.shape
+    sigma, eta, dt = SIR_SIGMA, SIR_ETA, SIR_DT
     sqrt_dt = np.sqrt(dt)
     s = np.full(n_traj, SIR_INIT[0])
     i = np.full(n_traj, SIR_INIT[1])
@@ -393,7 +357,7 @@ def _sir_row_summaries(x: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def sir_task(n_obs: int = 100, horizon: int = 365) -> TaskSpec:
+def sir_task(n_obs: int, horizon: int) -> TaskSpec:
     """Stochastic SIR with prior (beta, gamma) uniform over 0 < gamma < beta < 0.5."""
     if n_obs < 1 or horizon < 2:
         raise ValueError(f"n_obs must be positive and horizon >= 2, got {n_obs}, {horizon}")
@@ -404,50 +368,39 @@ def sir_task(n_obs: int = 100, horizon: int = 365) -> TaskSpec:
             if 0.0 < gamma < beta < SIR_RATE_MAX:
                 return np.array([beta, gamma])
 
-    def draw(t, rngs, rows):
-        return _trajectory_datasets(_sir_paths, t, rngs, rows, horizon)
-
-    simulate_many, simulate_raw = _batched(draw, 2, n_obs)
-
-    def simulate(theta, rng):
-        t = _check_theta(theta, 2)
+    def support(t):
         if not (0.0 < t[1] < t[0] < SIR_RATE_MAX):
             raise ValueError(
                 f"theta {t.tolist()} violates the prior constraint 0 < gamma < beta < {SIR_RATE_MAX}"
             )
-        return simulate_many(t[None], [rng])[0]
 
-    def summary(data):
-        x = _check_dataset(data, n_obs, horizon, "sir_task")
-        return _sir_row_summaries(x).mean(axis=0)
-
-    return TaskSpec(
-        name="sir", theta_dim=2, obs_dim=horizon, n_obs=n_obs, summary_dim=6,
-        params={"n_obs": n_obs, "horizon": horizon},
-        prior_sample=prior_sample, simulate=simulate, simulate_many=simulate_many,
-        simulate_raw=simulate_raw, summary=summary,
-    )
+    return _task("sir", {"n_obs": n_obs, "horizon": horizon}, 2, horizon, 6, prior_sample,
+                 lambda t, rngs, rows: _trajectory_datasets(_sir_paths, t, rngs, rows, horizon),
+                 lambda x: _sir_row_summaries(x).mean(axis=0), support)
 
 
 # ---------------------------------------------------------------------------
 # Task registry and training pools
 # ---------------------------------------------------------------------------
 
+# every task's constructor and the sizes it takes, which are its config keys
+TASKS = {
+    "gaussian": (gaussian_task, ("d", "n_obs")),
+    "factor": (factor_task, ("obs_dim", "n_obs")),
+    "oup": (oup_task, ("n_obs", "horizon")),
+    "sir": (sir_task, ("n_obs", "horizon")),
+}
+
+
 def make_task(name: str, **params) -> TaskSpec:
-    """Reconstruct a task from its name and serialized params."""
-    if name == "gaussian":
-        return gaussian_task(d=params.get("d", 2), n_obs=params.get("n_obs", 100))
-    if name == "factor":
-        if "loading" in params and params["loading"] is not None:
-            return factor_task(obs_dim=params.get("obs_dim", 5),
-                               n_obs=params.get("n_obs", 100),
-                               loading=np.asarray(params["loading"]))
-        raise ValueError("factor task params must carry the frozen loading matrix")
-    if name == "oup":
-        return oup_task(n_obs=params.get("n_obs", 100), horizon=params.get("horizon", 25))
-    if name == "sir":
-        return sir_task(n_obs=params.get("n_obs", 100), horizon=params.get("horizon", 365))
-    raise ValueError(f"unknown task {name!r}")
+    """Rebuild a task from its name and params (TaskSpec.params). An unknown
+    name, and a param the task lacks or does not take, raise ValueError."""
+    if name not in TASKS:
+        raise ValueError(f"unknown task {name!r}")
+    try:
+        return TASKS[name][0](**params)
+    except TypeError as err:
+        raise ValueError(f"bad params for task {name!r}: {err}") from err
 
 
 def build_training_pool(task: TaskSpec, n_datasets: int, master_seed: int) -> TrainingPool:

@@ -17,8 +17,7 @@ from mdsum.inference import (AnalyticGaussianEngine, DecoderEmbedding, HoldoutRe
                              MdnEngine, PosteriorEngine, mdn_parameters)
 from mdsum.kernels import FeatureMap
 from mdsum.nn import Mlp, backward_from_output_grad, forward_batch, mlp_init, mse_loss_grad
-from mdsum.simulators import (SIR_ETA, SIR_SIGMA, _sir_paths, gaussian_posterior,
-                              simulate_oup_trajectories)
+from mdsum.simulators import _sir_paths, gaussian_posterior, simulate_oup_trajectories
 from mdsum.util import NumericalError, derive_rng
 
 
@@ -131,11 +130,9 @@ def posterior_kl_analytic(engine_a: PosteriorEngine, engine_b: PosteriorEngine,
 # simulation references
 # ---------------------------------------------------------------------------
 
-def simulate_sir_trajectories(theta, n_traj, horizon, rng, sigma=SIR_SIGMA, eta=SIR_ETA,
-                              dt=1.0, return_compartments=False):
+def simulate_sir_trajectories(theta, n_traj, horizon, rng, return_compartments=False):
     """n_traj SIR paths from one parameter, noise drawn step-major."""
-    return _sir_paths(theta, rng.standard_normal((horizon, n_traj)), sigma, eta, dt,
-                      return_compartments)
+    return _sir_paths(theta, rng.standard_normal((horizon, n_traj)), return_compartments)
 
 
 def lag1_corr(a, b) -> float:

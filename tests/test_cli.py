@@ -256,6 +256,21 @@ def test_contamination_kind_exits_2_before_any_stage(tmp_path, capsys, task, kin
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"task": "gaussian", "n_predictive": 1}, "n_predictive must be >= 2"),
+    ({"task": "oup", "d": 7}, "d does not apply to task 'oup'"),
+    ({"task": "sir", "obs_dim": 9}, "obs_dim does not apply to task 'sir'"),
+], ids=["n_predictive", "oup-d", "sir-obs_dim"])
+def test_config_that_would_fail_or_retrain_later_exits_2_first(tmp_path, capsys, patch,
+                                                                message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"n_train": 20, **patch}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(p), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json", encoding="utf-8")

@@ -9,11 +9,13 @@ from helpers import (oup_summary, reference_dataset, reference_pool,
                      simulate_sir_trajectories, sir_trajectory_summary)
 from mdsum import simulators
 from mdsum.contamination import contaminate_sir
+from mdsum.harness import build_task, config_from_dict
 from mdsum.simulators import (
     OUP_BOUNDS,
     OUP_X0,
     SIR_POPULATION,
     SIR_RATE_MAX,
+    TASKS,
     TRAJECTORY_CLIP,
     _sir_paths,
     _sir_row_summaries,
@@ -84,7 +86,7 @@ def test_gaussian_posterior_matches_quadrature():
 
 def test_gaussian_task_validation():
     with pytest.raises(ValueError):
-        gaussian_task(d=0)
+        gaussian_task(d=0, n_obs=100)
     with pytest.raises(ValueError):
         gaussian_task(d=2, n_obs=0)
     with pytest.raises(ValueError):
@@ -97,7 +99,7 @@ def test_gaussian_task_validation():
 
 def test_factor_summary_inverts_loading():
     rng = derive_rng(41, "factor")
-    task = factor_task(obs_dim=5, n_obs=4, rng=rng)
+    task = factor_task(obs_dim=5, n_obs=4, loading=rng.standard_normal((5, 2)))
     a = np.array(task.params["loading"])
     theta = np.array([0.7, -1.2])
     noiseless = np.tile(a @ theta, (4, 1))
@@ -106,7 +108,7 @@ def test_factor_summary_inverts_loading():
 
 def test_factor_task_reconstructs_from_params():
     rng = derive_rng(41, "factor2")
-    task = factor_task(obs_dim=6, n_obs=10, rng=rng)
+    task = factor_task(obs_dim=6, n_obs=10, loading=rng.standard_normal((6, 2)))
     again = factor_task(**task.params)
     assert np.array_equal(np.array(again.params["loading"]),
                           np.array(task.params["loading"]))
@@ -114,11 +116,11 @@ def test_factor_task_reconstructs_from_params():
 
 def test_factor_task_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        factor_task(obs_dim=5, n_obs=10)  # no rng, no loading
+        make_task("factor", obs_dim=5, n_obs=10)  # no loading
     with pytest.raises(ValueError):
         factor_task(obs_dim=5, n_obs=10, loading=np.zeros((5, 2)))  # singular
     with pytest.raises(ValueError):
-        factor_task(obs_dim=1, n_obs=10, rng=derive_rng(41, "x"))
+        factor_task(obs_dim=1, n_obs=10, loading=derive_rng(41, "x").standard_normal((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +183,7 @@ def test_oup_summary_degenerate_data():
 
 
 def test_oup_prior_within_bounds():
-    task = oup_task()
+    task = oup_task(n_obs=100, horizon=25)
     rng = derive_rng(42, "prior")
     draws = np.stack([task.prior_sample(rng) for _ in range(200)])
     (lo1, hi1), (lo2, hi2) = OUP_BOUNDS
@@ -191,9 +193,9 @@ def test_oup_prior_within_bounds():
 
 def test_oup_task_validation():
     with pytest.raises(ValueError):
-        oup_task(n_obs=0)
+        oup_task(n_obs=0, horizon=25)
     with pytest.raises(ValueError):
-        oup_task(horizon=1)
+        oup_task(n_obs=100, horizon=1)
     with pytest.raises(ValueError):
         oup_task(n_obs=2, horizon=5).summary(np.zeros((2, 4)))
 
@@ -202,20 +204,23 @@ def test_oup_task_validation():
 # stochastic SIR
 # ---------------------------------------------------------------------------
 
-def test_sir_noise_free_conserves_population():
+def test_sir_noise_free_conserves_population(monkeypatch):
+    monkeypatch.setattr(simulators, "SIR_SIGMA", 0.0)
+    monkeypatch.setattr(simulators, "SIR_ETA", 0.0)
     theta = np.array([0.4, 0.1])
     out, (s, i, r), pre_clip = simulate_sir_trajectories(
-        theta, n_traj=2, horizon=200, rng=StubNormals(0.0),
-        sigma=0.0, eta=0.0, return_compartments=True)
+        theta, n_traj=2, horizon=200, rng=StubNormals(0.0), return_compartments=True)
     assert np.allclose(pre_clip, 1.0, rtol=0.0, atol=1e-12)
     assert np.allclose(s + i + r, 1.0, rtol=0.0, atol=1e-12)
     assert np.all(out >= 0.0) and np.all(out <= SIR_POPULATION)
 
 
-def test_sir_noise_free_converges_to_ode():
+def test_sir_noise_free_converges_to_ode(monkeypatch):
     # with sigma = eta = 0 the contact rate is constant and the model is the
     # classic SIR ODE; Euler output must approach a high-accuracy solver as
     # the step shrinks
+    monkeypatch.setattr(simulators, "SIR_SIGMA", 0.0)
+    monkeypatch.setattr(simulators, "SIR_ETA", 0.0)
     beta, gamma = 0.4, 0.1
     t_end = 5.0
 
@@ -229,9 +234,9 @@ def test_sir_noise_free_converges_to_ode():
     errs = []
     for dt in (0.01, 0.001):
         steps = int(round(t_end / dt))
+        monkeypatch.setattr(simulators, "SIR_DT", dt)
         out = simulate_sir_trajectories(np.array([beta, gamma]), n_traj=1,
-                                        horizon=steps, rng=StubNormals(0.0),
-                                        sigma=0.0, eta=0.0, dt=dt)
+                                        horizon=steps, rng=StubNormals(0.0))
         errs.append(abs(out[0, -1] / SIR_POPULATION - i_true))
     assert errs[1] < errs[0]
     assert errs[0] < 1e-3
@@ -341,7 +346,7 @@ def test_sir_half_day_is_the_first_crossing_of_half_the_total():
 
 @pytest.mark.parametrize("task", [
     gaussian_task(d=3, n_obs=5),
-    factor_task(obs_dim=7, n_obs=5, rng=derive_rng(45, "loading")),
+    factor_task(obs_dim=7, n_obs=5, loading=derive_rng(45, "loading").standard_normal((7, 2))),
     oup_task(n_obs=5, horizon=25),
     sir_task(n_obs=5, horizon=120),
 ], ids=lambda t: t.name)
@@ -366,7 +371,7 @@ def test_simulate_raw_matches_single_row_loop(task):
 
 POOL_TASKS = [
     gaussian_task(d=2, n_obs=5),
-    factor_task(obs_dim=4, n_obs=5, rng=derive_rng(48, "loading")),
+    factor_task(obs_dim=4, n_obs=5, loading=derive_rng(48, "loading").standard_normal((4, 2))),
     oup_task(n_obs=4, horizon=8),
     sir_task(n_obs=3, horizon=60),
 ]
@@ -434,13 +439,38 @@ def test_make_task_round_trips():
     for task in (gaussian_task(d=3, n_obs=7),
                  oup_task(n_obs=4, horizon=8),
                  sir_task(n_obs=2, horizon=12),
-                 factor_task(obs_dim=4, n_obs=5, rng=derive_rng(44, "f"))):
+                 factor_task(obs_dim=4, n_obs=5,
+                             loading=derive_rng(44, "f").standard_normal((4, 2)))):
         rebuilt = make_task(task.name, **task.params)
         assert rebuilt.name == task.name
         assert rebuilt.summary_dim == task.summary_dim
         assert rebuilt.obs_dim == task.obs_dim
     with pytest.raises(ValueError):
         make_task("unknown")
+
+
+OUTSIDE_PRIOR = {"oup": [3.0, 0.0], "sir": [0.1, 0.2]}
+
+
+@pytest.mark.parametrize("name", TASKS)
+def test_every_registered_task_rebuilds_and_checks_its_inputs(name):
+    task = build_task(config_from_dict({"task": name, "n_obs": 4}))
+    assert task.name == name
+    assert set(task.params) - {"loading"} == set(TASKS[name][1])
+    thetas = np.stack([task.prior_sample(derive_rng(60, "prior", i)) for i in range(3)])
+    runs = []
+    for t in (task, make_task(task.name, **task.params)):
+        rngs = [derive_rng(60, "data", i) for i in range(3)]
+        data = t.simulate_many(thetas, rngs)
+        summaries = np.stack([t.summary(x) for x in data])
+        runs.append((data.tobytes(), summaries.tobytes(),
+                     [rng.bit_generator.state for rng in rngs]))
+    assert runs[0] == runs[1]
+    with pytest.raises(ValueError, match=f"{name}_task"):
+        task.summary(np.zeros((task.n_obs + 1, task.obs_dim)))
+    if name in OUTSIDE_PRIOR:
+        with pytest.raises(ValueError):
+            task.simulate(np.array(OUTSIDE_PRIOR[name]), derive_rng(60, "outside"))
 
 
 def test_training_pool_shapes_and_determinism():
