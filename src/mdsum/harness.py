@@ -41,7 +41,7 @@ from .kernels import build_feature_map, mean_embedding, median_heuristic
 from .metrics import coverage, predictive_mmd, rmse, sample_mmd, summary_oracle_distance
 from .nn import BATCH_SIZE, LEARNING_RATE
 from .simulators import TASKS, build_training_pool, load_pool, make_task, save_pool
-from .util import NumericalError, canonical_json, derive_rng, sha256_hex
+from .util import NumericalError, canonical_json, derive_rng, replacing, sha256_hex
 from . import __version__
 
 CSV_HEADER = ("task,method,eps,delta,seed,rmse,coverage,posterior_mmd,"
@@ -444,14 +444,9 @@ def _evaluate_to_csv(cfg: ExperimentConfig, task, dec, engine, csv_path: Path,
     # in this process or in any worker
     if any(hashes != frozen_hashes for _lines, hashes in results):
         raise StageError("frozen model artifacts changed during evaluation")
-    # write to a temp name then rename so an abort never leaves a partial CSV
-    tmp_path = csv_path.with_suffix(".csv.tmp")
-    with open(tmp_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for lines, _hashes in results:
-            for line in lines:
-                fh.write(line + "\n")
-    tmp_path.replace(csv_path)
+    rows = [CSV_HEADER] + [line for lines, _hashes in results for line in lines]
+    with replacing(csv_path) as fh:  # an abort never leaves a partial CSV
+        fh.write("".join(row + "\n" for row in rows).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

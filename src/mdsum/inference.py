@@ -7,10 +7,10 @@ q(theta | s): either the conjugate closed form for the Gaussian location
 task or a trained mixture density network.
 
 Each model has one payload description (``*_to_payload``): JSON values
-plus raw float64 arrays. Saved files swap every array for its bit-exact
-hex encoding (``util.encode_floats``), written with one ``json.dumps``,
-and ``*_from_payload`` reads either form, checking every array's shape
-against the model's own dimensions. ``decoder_hash`` and
+plus raw float64 arrays. ``util.save_payload`` writes it as JSON with every
+array swapped for its shape and the bit-exact ``float.hex`` string of each
+value, and ``*_from_payload`` reads either form, checking every array's
+shape against the model's own dimensions. ``decoder_hash`` and
 ``engine_hash`` are sha256 over the payload's JSON skeleton, with arrays
 replaced by their shapes, followed by each array's little-endian float64
 bytes in sorted-key order (``util.payload_hash``). They certify that
@@ -28,7 +28,7 @@ import numpy as np
 from .kernels import FeatureMap, feature_map_from_payload, feature_map_to_payload, rff_matrix
 from .nn import Mlp, fit_mlp, mlp_forward, mlp_from_payload, mlp_init, mlp_to_payload, mlp_vjp
 from .simulators import TrainingPool, gaussian_posterior
-from .util import as_float_array, check_shape, encode_floats, map_arrays, payload_hash
+from .util import as_float_array, check_shape, payload_hash, save_payload
 
 _CHUNK_ELEMS = 2 ** 20  # cap on rows * K per feature chunk: one 8 MB float64 block
 _STD_FLOOR = 1e-12
@@ -330,8 +330,7 @@ def decoder_from_payload(payload: dict):
 
 
 def decoder_save(dec: DecoderEmbedding, path, holdout: HoldoutRecords | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(map_arrays(decoder_to_payload(dec, holdout), encode_floats)))
+    save_payload(decoder_to_payload(dec, holdout), path)
 
 
 def decoder_load(path):
@@ -383,8 +382,7 @@ def engine_from_payload(payload: dict) -> PosteriorEngine:
 
 
 def engine_save(engine: PosteriorEngine, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(map_arrays(engine_to_payload(engine), encode_floats)))
+    save_payload(engine_to_payload(engine), path)
 
 
 def engine_load(path) -> PosteriorEngine:

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .util import derive_rng
+from .util import derive_rng, replacing
 
 TRAJECTORY_CLIP = 1e30
 _POOL_CHUNK_ELEMS = 2 ** 20  # dataset values per simulate_many call of a pool (8 MB)
@@ -440,9 +440,9 @@ def save_pool(pool: TrainingPool, path) -> None:
         "summary_dim": int(pool.summaries.shape[1]),
         "master_seed": pool.master_seed,
     }
-    np.savez(path, header=json.dumps(header),
-             thetas=pool.thetas, datasets=pool.datasets,
-             summaries=pool.summaries)
+    with replacing(path) as fh:
+        np.savez(fh, header=json.dumps(header), thetas=pool.thetas,
+                 datasets=pool.datasets, summaries=pool.summaries)
 
 
 def load_pool(path) -> TrainingPool:

@@ -3,12 +3,20 @@
 Everything stochastic in this package draws from a numpy Generator obtained
 through derive_rng, so that any pipeline stage can be rerun (serially or in
 parallel) and produce bit-identical results.
+
+Model files are written by save_payload: JSON in which each float64 array is
+its shape and the float.hex string of each value. The strings are formatted
+in bulk from the values' bit patterns, and the file takes its place only
+once complete (replacing), so a failed save leaves no partial file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
@@ -37,18 +45,100 @@ def derive_rng(master_seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def encode_floats(arr: np.ndarray) -> dict:
-    """Encode a float64 array value-exactly, as its shape and the
-    ``float.hex`` string of each value in C order."""
-    a = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+_HEX_CHUNK = 2 ** 15  # values formatted per numpy pass
+# A value's JSON text is ', "' + sign + '0x1.' + 13 mantissa digits + 'p-1022"'
+# at its longest. Each value fills one row of _HEX_ROW, with NUL for the
+# bytes a shorter text leaves out: the sign, 12 digits of a zero (which
+# prints '0x0.0p+0') and up to 3 exponent digits.
+_HEX_ROW = np.frombuffer(b', "\x000x1.'.ljust(29, b"\0"), np.uint8)
+_HEX_PAIRS = np.frombuffer(b"".join(b"%02x" % i for i in range(256)), np.uint16)
+# 'p' + signed exponent + '"', NUL-padded to 8 bytes, for -1022..1023
+_HEX_EXPONENTS = np.frombuffer(b"".join((b'p%+d"' % e).ljust(8, b"\0")
+                                        for e in range(-1022, 1024)), np.uint64)
+_SLOT = "\0"  # stands for an array in the payload's JSON skeleton
+
+
+def _hex_items(flat: np.ndarray):
+    """Yield, chunk by chunk, the items of the JSON list
+    [float.hex(v) for v in flat], separated by ', '.
+
+    Each value of a chunk fills a row of _HEX_ROW from its bit pattern; the
+    rows are reused, so every column a value's text varies in is rewritten.
+    """
+    rows = np.tile(_HEX_ROW, (min(flat.size, _HEX_CHUNK), 1))
+    for start in range(0, flat.size, _HEX_CHUNK):
+        bits = flat[start:start + _HEX_CHUNK].view(np.uint64)
+        n = bits.size
+        chunk = rows[:n]
+        biased = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF
+        chunk[:, 3] = (bits >> np.uint64(63)).astype(np.uint8) * ord("-")
+        chunk[:, 6] = ord("1") - (biased == 0)
+        # the 52 mantissa bits, shifted to 56, are the low 7 bytes: 14
+        # digits, the last of which the exponent overwrites
+        mantissa = ((bits & np.uint64(2 ** 52 - 1)) << np.uint64(4)).astype(">u8")
+        chunk[:, 8:22].view(np.uint16)[...] = _HEX_PAIRS[
+            mantissa.view(np.uint8).reshape(n, 8)[:, 1:]]
+        exponent = np.where(biased == 0, -1022, biased - 1023)
+        zero = np.flatnonzero((bits << np.uint64(1)) == 0)
+        chunk[zero, 9:21] = 0
+        exponent[zero] = 0
+        chunk[:, 21:29].view(np.uint64)[:, 0] = _HEX_EXPONENTS[exponent + 1022]
+        text = chunk[chunk != 0].tobytes()
+        yield text if start else text[2:]
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A binary file that takes path's place only if the block completes.
+
+    It is written under a temporary name beside path and then moved onto
+    path with os.replace, so path never holds a partial file; if the block
+    raises, the temporary file is removed and path is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def save_payload(payload: Any, path) -> None:
+    """Write a payload of JSON values and float64 arrays to path.
+
+    The file is json.dumps of the payload with each array replaced by
+    {"shape": [...], "hex": [float.hex of each value in C order]}, which
+    decode_floats reads back bit for bit. Keys and other leaves go through
+    json.dumps; array values are formatted in bulk (_hex_items). Every value
+    is checked to be finite before any file is opened, and the file
+    replaces path only once complete (replacing).
+    """
+    arrays = []
+
+    def slot(a: np.ndarray) -> str:
+        arrays.append(np.asarray(a, dtype=np.float64))
+        return _SLOT
+
+    parts = json.dumps(map_arrays(payload, slot)).encode("ascii").split(
+        json.dumps(_SLOT).encode("ascii"))
+    if len(parts) != len(arrays) + 1:
+        raise ValueError("a payload string equals the array placeholder NUL")
+    if not all(np.isfinite(a).all() for a in arrays):
         raise NumericalError("refusing to serialize non-finite values")
-    return {"shape": list(a.shape), "hex": list(map(float.hex, a.reshape(-1).tolist()))}
+    with replacing(path) as fh:
+        for part, a in zip(parts, arrays):
+            fh.write(part + b'{"shape": %s, "hex": [' % json.dumps(list(a.shape)).encode())
+            fh.writelines(_hex_items(np.ascontiguousarray(a).reshape(-1)))
+            fh.write(b"]}")
+        fh.write(parts[-1])
 
 
 def decode_floats(payload: dict) -> np.ndarray:
-    """The array of an encode_floats dict; other keys (such as the ``dec``
-    mirror of older files) are ignored, and non-finite values raise."""
+    """The array of a saved {"shape", "hex"} dict (save_payload); other keys
+    (such as the ``dec`` mirror of older files) are ignored, and non-finite
+    values raise."""
     hexes = payload["hex"]
     vals = np.fromiter(map(float.fromhex, hexes), np.float64, count=len(hexes))
     check_finite("decoded array", vals)
@@ -57,7 +147,7 @@ def decode_floats(payload: dict) -> np.ndarray:
 
 def as_float_array(leaf: Any) -> np.ndarray:
     """A fresh float64 array from a payload leaf: a copy of an array, or the
-    decoding of an encode_floats dict read back from a saved file.
+    decoding of a {"shape", "hex"} dict read back from a saved file.
 
     Decoding straight into the model's array, rather than decoding a whole
     file first and copying it, keeps a load to one allocation per array.

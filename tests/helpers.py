@@ -8,7 +8,8 @@ paths the library uses, but nothing in the library needs them. The
 simulation references (reference_pool, sir_trajectory_summary,
 oup_summary) are the per-record and per-row loops and the scalar lag-1
 correlation that the batched pool and the row-wise summaries must
-reproduce bit for bit.
+reproduce bit for bit. hex_encoded is the per-value float.hex reference
+that saved model files must match byte for byte.
 """
 
 import numpy as np
@@ -32,6 +33,13 @@ def closed_form_embedding(fm, s, n_obs):
     w = fm.frequencies
     damp = np.exp(-0.5 * (1.0 - 1.0 / n_obs) * (w * w).sum(axis=1))
     return np.sqrt(2.0 / fm.n_features) * np.cos(w @ s + fm.phases) * damp
+
+
+def hex_encoded(a) -> dict:
+    """An array as saved model files hold it: its shape and the float.hex
+    string of each value in C order, one Python call per value."""
+    a = np.asarray(a, dtype=np.float64)
+    return {"shape": list(a.shape), "hex": [float.hex(v) for v in a.ravel().tolist()]}
 
 
 def fd_gradient(fn, x, h=1e-6):

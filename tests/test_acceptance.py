@@ -7,7 +7,9 @@ to see the lines for passing criteria too.
 Heavy artifacts (training pools, decoders, posterior engines, result tables)
 are cached under ``.cache/acceptance`` at the repository root. The first run
 pays the full training cost; later runs reload the frozen artifacts and only
-re-check the assertions. Every random stream derives from one committed
+re-check the assertions. A change of ``harness.ARTIFACT_VERSION`` clears the
+cached artifacts first (prune_stale_cache, checked by the one test here that
+is not a criterion). Every random stream derives from one committed
 master seed, so all numbers here are reproducible bit for bit.
 """
 
@@ -18,14 +20,15 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.optimize import minimize
 from scipy.stats import binom
 from helpers import closed_form_embedding, mlp_backward, posterior_kl_analytic, posterior_moments
 
 from mdsum.adaptation import adapt, detect
 from mdsum.contamination import ContaminationSpec, apply_contamination
-from mdsum.harness import (config_from_dict, read_results_csv, run_pipeline,
-                           stage_decoder, stage_engine)
+from mdsum.harness import (ARTIFACT_VERSION, config_from_dict, read_results_csv,
+                           run_pipeline, stage_decoder, stage_engine)
 from mdsum.inference import decoder_hash, decoder_load, engine_hash, engine_load, train_mdn
 from mdsum.kernels import (build_feature_map, mean_embedding, median_heuristic,
                            mmd2_exact, mmd2_rff)
@@ -37,6 +40,27 @@ from mdsum.util import derive_rng
 MASTER_SEED = 0
 CACHE = Path(__file__).resolve().parents[1] / ".cache" / "acceptance"
 CACHE.mkdir(parents=True, exist_ok=True)
+STALE_PATTERNS = ("pool-*", "decoder-*", "engine-*", "results-*", "manifest-*")
+
+
+def prune_stale_cache(cache: Path, version: int) -> None:
+    """Delete the cached artifacts of another ARTIFACT_VERSION.
+
+    The version the cache was filled under is kept in an ``artifact-version``
+    stamp. When it differs from version, every keyed artifact goes, since
+    none can be a hit again; a cache without a stamp is only stamped.
+    """
+    stamp = cache / "artifact-version"
+    if stamp.exists() and stamp.read_text(encoding="utf-8") != str(version):
+        for pattern in STALE_PATTERNS:
+            for path in cache.glob(pattern):
+                path.unlink()
+    stamp.write_text(str(version), encoding="utf-8")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _current_cache():
+    prune_stale_cache(CACHE, ARTIFACT_VERSION)
 
 # shared amortized stack for criteria 5, 6, 7 and 10
 MAIN_CONFIG = {"task": "gaussian", "d": 2, "n_obs": 100, "n_train": 20000,
@@ -438,3 +462,18 @@ def test_criterion_11_determinism_and_amortization():
         crit.check("engine hash unchanged by adaptation calls",
                    engine_hash(engine) == eng_before)
     crit.done()
+
+
+def test_stale_cache_is_pruned_when_the_artifact_version_changes(tmp_path):
+    keyed = [f"{p[:-1]}0123.json" for p in STALE_PATTERNS]
+    other = ["results.csv", "notes.txt"]
+    for name in keyed + other:
+        (tmp_path / name).write_text("x", encoding="utf-8")
+    prune_stale_cache(tmp_path, 7)  # no stamp yet: nothing is deleted
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        keyed + other + ["artifact-version"])
+    prune_stale_cache(tmp_path, 7)
+    assert len(list(tmp_path.iterdir())) == len(keyed + other) + 1
+    prune_stale_cache(tmp_path, 8)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(other + ["artifact-version"])
+    assert (tmp_path / "artifact-version").read_text(encoding="utf-8") == "8"

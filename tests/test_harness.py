@@ -294,15 +294,21 @@ GOLDEN_CONFIGS = {
             "n_posterior_samples": 200, "n_predictive": 20,
             "contamination": [{"eps": 0.2, "delta": 4.0}], "master_seed": 18},
 }
-# (decoder_hash, engine_hash, sha256 of the results CSV) per ARTIFACT_VERSION
+# (decoder_hash, engine_hash, then the sha256 of the results CSV, the saved
+# decoder file and the saved engine file) per ARTIFACT_VERSION. Model hashes
+# ignore how a file renders its floats; the file digests do not.
 GOLDEN_DIGESTS = {
     1: {
         "gaussian": ("8e187a7eb2553e31c2ea7218aaab048718f13117f8b9a46f0c7f07de99a3de0f",
                      "1759c3368a5bd17da0a5a2bbf1b2f41652bf5db51e32536b69e9a040a307bebc",
-                     "6b57feb2b079392e32c1ee92463604d538f28ecb8dc6c86bbb7d83179338ed24"),
+                     "6b57feb2b079392e32c1ee92463604d538f28ecb8dc6c86bbb7d83179338ed24",
+                     "5412a807560dca7ee22018de43ffd015acf0c120934832a17236a5c84878399c",
+                     "b4586eb6112639679ae48557ac6edba8388e70445517c293b44bdabd8a22a2ba"),
         "oup": ("16552ac7f64c6fa53c0a4c689c0cc2f803186fd0b28338535d6ea3c451994527",
                 "68f93d08de66d07eb05161da61250ba22da7dde472890b1f4623d32bedefb457",
-                "f4d97c64f086c02bc789cc51de56d8da9f8cb2bb8ce779820908cfa9eff0f9c9"),
+                "f4d97c64f086c02bc789cc51de56d8da9f8cb2bb8ce779820908cfa9eff0f9c9",
+                "04ba91f55cdaa9068c9791f0065e92ef46457bf2f59272fce98a40e12436aee5",
+                "ccbcc897f7e593e2d772a7f9db61754c6e4b833dc418e5c834002a3b094b89cd"),
     },
 }
 
@@ -311,10 +317,11 @@ GOLDEN_DIGESTS = {
 def test_outputs_match_the_golden_digests_of_artifact_version(name, tmp_path):
     version = mdsum.harness.ARTIFACT_VERSION
     manifest = run_pipeline(config_from_dict(dict(GOLDEN_CONFIGS[name])), tmp_path, jobs=1)
-    csv = (tmp_path / manifest["artifacts"]["results"]).read_bytes()
-    got = (manifest["decoder_hash"], manifest["engine_hash"], hashlib.sha256(csv).hexdigest())
+    files = (tmp_path / manifest["artifacts"][k] for k in ("results", "decoder", "engine"))
+    got = (manifest["decoder_hash"], manifest["engine_hash"],
+           *(hashlib.sha256(f.read_bytes()).hexdigest() for f in files))
     assert got == GOLDEN_DIGESTS.get(version, {}).get(name), (
-        f"{name}: a model file or results row differs from the digests pinned for "
+        f"{name}: a model, model file or results row differs from the digests pinned for "
         f"ARTIFACT_VERSION {version}; if the change is meant, raise "
         f"harness.ARTIFACT_VERSION and add its digests to GOLDEN_DIGESTS: {got}")
 

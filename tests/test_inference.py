@@ -3,8 +3,8 @@ import json
 
 import numpy as np
 import pytest
-from helpers import (closed_form_embedding, fd_gradient, fixed_decoder, mdn_log_prob,
-                     posterior_kl_analytic, posterior_moments)
+from helpers import (closed_form_embedding, fd_gradient, fixed_decoder, hex_encoded,
+                     mdn_log_prob, posterior_kl_analytic, posterior_moments)
 from scipy.special import logsumexp
 from scipy.stats import norm
 
@@ -35,7 +35,7 @@ from mdsum.inference import (
 from mdsum.kernels import build_feature_map, mean_embedding, median_heuristic
 from mdsum.nn import forward_batch, mlp_forward, mlp_init
 from mdsum.simulators import build_training_pool, gaussian_task
-from mdsum.util import NumericalError, derive_rng, encode_floats, map_arrays
+from mdsum.util import NumericalError, derive_rng, map_arrays
 
 
 def small_pool(m=1500, n_obs=20, seed=11):
@@ -518,10 +518,30 @@ def test_model_hashes_refuse_non_finite_parameters(value):
         engine_hash(engine)
 
 
+@pytest.mark.parametrize("kind", ["decoder", "engine"])
+def test_a_failed_save_leaves_no_file_and_keeps_the_old_one(tmp_path, kind):
+    dec, holdout = fixed_decoder()
+    engine = make_mdn_engine(seed=23)
+    path = tmp_path / f"{kind}.json"
+    save = ((lambda: decoder_save(dec, path, holdout)) if kind == "decoder"
+            else (lambda: engine_save(engine, path)))
+    save()
+    old = path.read_bytes()
+    dec.regressor.weights[1][0, 2] = np.nan
+    engine.mlp.weights[1][0, 2] = np.nan
+    with pytest.raises(NumericalError):
+        save()
+    assert path.read_bytes() == old
+    path.unlink()
+    with pytest.raises(NumericalError):
+        save()
+    assert list(tmp_path.iterdir()) == []
+
+
 def _old_mlp_payload(mlp):
     return {"kind": "mlp", "layer_dims": list(mlp.layer_dims), "activation": "tanh",
-            "weights": [encode_floats(w) for w in mlp.weights],
-            "biases": [encode_floats(b) for b in mlp.biases]}
+            "weights": [hex_encoded(w) for w in mlp.weights],
+            "biases": [hex_encoded(b) for b in mlp.biases]}
 
 
 def _with_dec_mirror(obj):
@@ -643,15 +663,15 @@ def test_saved_files_keep_the_nested_hex_format(tmp_path):
         "kind": "decoder",
         "task": {"name": dec.task_name, "params": dec.task_params},
         "feature_map": {"kind": "feature_map", "dim": fm.dim, "n_features": fm.n_features,
-                        "bandwidth": encode_floats(np.array([fm.bandwidth])),
-                        "frequencies": encode_floats(fm.frequencies),
-                        "phases": encode_floats(fm.phases)},
+                        "bandwidth": hex_encoded(np.array([fm.bandwidth])),
+                        "frequencies": hex_encoded(fm.frequencies),
+                        "phases": hex_encoded(fm.phases)},
         "regressor": _old_mlp_payload(dec.regressor),
-        "summary_mean": encode_floats(dec.summary_mean),
-        "summary_std": encode_floats(dec.summary_std),
-        "threshold": encode_floats(np.array([dec.threshold])),
-        "holdout": {"summaries": encode_floats(holdout.summaries),
-                    "embeddings": encode_floats(holdout.embeddings)},
+        "summary_mean": hex_encoded(dec.summary_mean),
+        "summary_std": hex_encoded(dec.summary_std),
+        "threshold": hex_encoded(np.array([dec.threshold])),
+        "holdout": {"summaries": hex_encoded(holdout.summaries),
+                    "embeddings": hex_encoded(holdout.embeddings)},
     }
     decoder_save(dec, tmp_path / "decoder.json", holdout)
     assert (tmp_path / "decoder.json").read_text(encoding="utf-8") == json.dumps(old_decoder)
@@ -659,8 +679,8 @@ def test_saved_files_keep_the_nested_hex_format(tmp_path):
     engine = make_mdn_engine(seed=23)
     old_engine = {"kind": "engine", "variant": "mdn", "mlp": _old_mlp_payload(engine.mlp),
                   "n_components": engine.n_components, "theta_dim": engine.theta_dim,
-                  "input_mean": encode_floats(engine.input_mean),
-                  "input_std": encode_floats(engine.input_std)}
+                  "input_mean": hex_encoded(engine.input_mean),
+                  "input_std": hex_encoded(engine.input_std)}
     engine_save(engine, tmp_path / "engine.json")
     assert (tmp_path / "engine.json").read_text(encoding="utf-8") == json.dumps(old_engine)
 

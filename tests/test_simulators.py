@@ -506,3 +506,25 @@ def test_pool_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.thetas, pool.thetas)
     assert np.array_equal(loaded.datasets, pool.datasets)
     assert np.array_equal(loaded.summaries, pool.summaries)
+
+
+class _Unwritable:
+    shape = (4, 2)
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("disk full")
+
+
+def test_a_failed_pool_save_keeps_the_old_file_and_leaves_no_other(tmp_path):
+    pool = build_training_pool(oup_task(n_obs=3, horizon=6), n_datasets=4, master_seed=5)
+    path = tmp_path / "pool.npz"
+    save_pool(pool, path)
+    old = path.read_bytes()
+    pool.summaries = _Unwritable()  # np.savez fails after writing the first arrays
+    with pytest.raises(OSError, match="disk full"):
+        save_pool(pool, path)
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == old
+    path.unlink()
+    with pytest.raises(OSError, match="disk full"):
+        save_pool(pool, path)
+    assert list(tmp_path.iterdir()) == []
