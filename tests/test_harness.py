@@ -282,17 +282,23 @@ def test_artifact_version_change_reruns_every_stage(tiny_run, tmp_path, monkeypa
     assert manifest2["decoder_hash"] == manifest["decoder_hash"]
 
 
-# One tiny cold run per engine kind. The Gaussian run takes 1000 posterior
+# One tiny cold run per task. The Gaussian run takes 1000 posterior
 # samples, so each posterior_mmd row measures the sampled median heuristic;
-# the OU run trains an MDN engine. Digests are of float64 bytes, so they
-# hold for one numpy and BLAS build.
+# the other tasks train an MDN engine, the factor task on its frozen
+# loading and the SIR task on a 6-wide summary of 365-day paths. Digests
+# are of float64 bytes, so they hold for one numpy and BLAS build.
+_GOLDEN_MDN = {"n_train": 300, "n_features": 16, "max_epochs": 8, "patience": 5,
+               "n_test_datasets": 2, "n_posterior_samples": 200, "n_predictive": 20,
+               "master_seed": 18}
 GOLDEN_CONFIGS = {
     "gaussian": {**TINY, "n_posterior_samples": 1000, "n_test_datasets": 2,
                  "contamination": [{"eps": 0.2, "delta": 4.0}], "master_seed": 18},
-    "oup": {"task": "oup", "n_obs": 10, "horizon": 8, "n_train": 300, "n_features": 16,
-            "max_epochs": 8, "patience": 5, "n_test_datasets": 2,
-            "n_posterior_samples": 200, "n_predictive": 20,
-            "contamination": [{"eps": 0.2, "delta": 4.0}], "master_seed": 18},
+    "oup": {"task": "oup", "n_obs": 10, "horizon": 8, **_GOLDEN_MDN,
+            "contamination": [{"eps": 0.2, "delta": 4.0}]},
+    "factor": {"task": "factor", "obs_dim": 5, "n_obs": 15, **_GOLDEN_MDN,
+               "contamination": [{"eps": 0.2, "delta": 4.0}]},
+    "sir": {"task": "sir", "n_obs": 6, "horizon": 365, **_GOLDEN_MDN, "n_train": 200,
+            "contamination": [{"eps": 0.5}]},
 }
 # (decoder_hash, engine_hash, then the sha256 of the results CSV, the saved
 # decoder file and the saved engine file) per ARTIFACT_VERSION. Model hashes
@@ -309,6 +315,16 @@ GOLDEN_DIGESTS = {
                 "f4d97c64f086c02bc789cc51de56d8da9f8cb2bb8ce779820908cfa9eff0f9c9",
                 "04ba91f55cdaa9068c9791f0065e92ef46457bf2f59272fce98a40e12436aee5",
                 "ccbcc897f7e593e2d772a7f9db61754c6e4b833dc418e5c834002a3b094b89cd"),
+        "factor": ("6c1d83ba357e00a4888203eed43ef785f6e65f7375c5094dee544139d4a12181",
+                   "6e91388df6e12258ac6b6d618d6711d901f46b65c7dae88a03372b62fd656130",
+                   "acdf79939c53fc2bfaaadd1f52a2b7dacda5fe69299e55071fcc3994ffeb7fd8",
+                   "a907a902fbd938154154cbf8291ce93555b6b86eb8e621e8676a3378f01095db",
+                   "148d05649e56cc30fedb5a511c4e1757801099f3204db5712c45a04f62cf9ca9"),
+        "sir": ("8af90b45ac83cbc88dc765eb870d379aca38c5e94e3c30b3e9c6ac38411aa4f9",
+                "c082424af99940ab568922f36d76f193791649492d6ef47e7bd6a73dd184829b",
+                "aec14a4a0b3366abef14a65c6495703f6a99ee8c4ae05ae168ac135dcef3f473",
+                "67e45709d95f14bbba50b769a62b91261b401e262167fb589c93aed3c990acc2",
+                "262465db6b2de9e508e088da60e6116878fea8d71e7e28d02bccdc6fc08d4e34"),
     },
 }
 
