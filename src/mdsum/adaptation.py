@@ -4,8 +4,8 @@ Given a frozen decoder and an observed dataset, the pipeline is:
 
 1. check the observations' shape against the decoder's task, then compute
    the observed summary s0 with the summary function of the decoder's own
-   task (``make_task(dec.task_name, **dec.task_params)``) and the dataset's
-   empirical mean embedding;
+   task (``dec.task``, built once when the decoder is trained or loaded)
+   and the dataset's empirical mean embedding;
 2. detect: compare the statistic ||mu(s0) - mu_obs||^2 against a threshold
    calibrated on clean held-out simulations (the (1 - alpha) quantile of the
    same statistic);
@@ -32,7 +32,7 @@ import numpy as np
 from .inference import DecoderEmbedding, HoldoutRecords, decoder_embed, decoder_objective, standardize
 from .kernels import mean_embedding
 from .optimize import lbfgs_minimize
-from .simulators import make_task
+from .simulators import make_task  # noqa: F401  (perfbench/tracing.py patches make_task here)
 from .util import check_finite
 
 CLIP_BAND = 8.0  # standardized half-width of the band the optimizer starts in
@@ -119,22 +119,17 @@ def adapt(dec: DecoderEmbedding, observations, gate: bool = True) -> AdaptationR
     statistic exceeds the calibrated threshold; otherwise the observed
     summary is returned untouched. With gate=False adaptation always runs
     (used by the consistency and stability checks). The summary function is
-    that of the decoder's task, rebuilt from its metadata with make_task; a
-    decoder without a known task raises ValueError. Observations that are
-    not 2-D, or whose width or row count differs from the decoder's feature
-    map and task, raise ValueError before the summary is computed.
+    dec.task's. Observations whose shape is not (dec.task.n_obs, the feature
+    map's width) raise ValueError before the summary is computed.
     Non-finite observations or summaries raise NumericalError, so the gate
     never lets them through as not flagged.
     """
-    summary_fn = make_task(dec.task_name, **dec.task_params).summary
     observations = np.asarray(observations, dtype=np.float64)
-    n_obs, width = dec.task_params.get("n_obs"), dec.feature_map.dim
-    if (observations.ndim != 2 or observations.shape[1] != width
-            or (n_obs is not None and observations.shape[0] != n_obs)):
-        raise ValueError(f"observations must have shape ({n_obs or 'n'}, {width}), "
-                         f"got {observations.shape}")
+    shape = (dec.task.n_obs, dec.feature_map.dim)
+    if observations.shape != shape:
+        raise ValueError(f"observations must have shape {shape}, got {observations.shape}")
     check_finite("observations", observations)
-    s0 = np.asarray(summary_fn(observations), dtype=np.float64)
+    s0 = np.asarray(dec.task.summary(observations), dtype=np.float64)
     check_finite("observed summary", s0)
     obs_emb = mean_embedding(dec.feature_map, observations)
 

@@ -1,7 +1,7 @@
 """Controlled corruption of observed datasets.
 
-Three mechanisms, one per benchmark family. Each task has one kind, kept
-in a single per-task table:
+Three mechanisms, one per benchmark family. Each task has one kind, named
+by its simulators.TASKS record:
 
 - row outliers: each row is independently replaced (prob eps) by z * delta
   * ones, z a random sign, for the Gaussian-family tasks;
@@ -21,15 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulators import TaskSpec, simulate_oup_trajectories
+from .simulators import TASKS, TaskSpec, simulate_oup_trajectories
 from .util import as_2d_f64
 
 OUP_CONTAMINANT_THETA = (-0.5, 1.0)
 OUP_CONTAMINANT_SIGMA2 = 0.5
 WEEKEND_FRACTION = 0.05
-# the one contamination kind of each task
-_TASK_KIND = {"gaussian": "row_outliers", "factor": "row_outliers",
-              "oup": "offprior_trajectories", "sir": "weekend_underreporting"}
 
 
 @dataclass
@@ -39,18 +36,12 @@ class ContaminationSpec:
     delta: float = 0.0  # row_outliers only
 
     def __post_init__(self):
-        if self.kind not in _TASK_KIND.values():
+        if self.kind not in {record.contamination for record in TASKS.values()}:
             raise ValueError(f"unknown contamination kind {self.kind!r}")
         if not (0.0 <= self.eps <= 1.0):
             raise ValueError(f"eps must lie in [0, 1], got {self.eps}")
         if not np.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
-
-
-def default_kind(task_name: str) -> str:
-    if task_name not in _TASK_KIND:
-        raise ValueError(f"no contamination kind for task {task_name!r}")
-    return _TASK_KIND[task_name]
 
 
 def _count(eps: float, n: int) -> int:
@@ -116,7 +107,7 @@ def contaminate_sir(data, eps: float, rng: np.random.Generator) -> np.ndarray:
 
 def apply_contamination(spec: ContaminationSpec, task: TaskSpec, data,
                         rng: np.random.Generator) -> np.ndarray:
-    if _TASK_KIND.get(task.name) != spec.kind:
+    if task.name not in TASKS or TASKS[task.name].contamination != spec.kind:
         raise ValueError(f"{spec.kind} does not apply to task {task.name!r}")
     if spec.kind == "row_outliers":
         return contaminate_gaussian(data, spec.eps, spec.delta, rng)

@@ -15,8 +15,9 @@ row emission this makes the results CSV byte-identical for a given config at
 any parallelism level. Stage timings go to the manifest, never to the CSV.
 
 A config is one JSON document holding only the values its callers set;
-the rest (the gate and coverage levels, the engine and its mixture size
-here; the learning rate and batch size in nn) are constants.
+the rest (the gate and coverage levels and the mixture size here, the
+learning rate and batch size in nn, the engine in the task's record) are
+constants.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import ClassVar
 import numpy as np
 
 from .adaptation import adapt, calibrate_threshold, detect
-from .contamination import ContaminationSpec, apply_contamination, default_kind
+from .contamination import ContaminationSpec, apply_contamination
 from .inference import (AnalyticGaussianEngine, decoder_hash, decoder_load, decoder_save,
                         engine_hash, engine_load, engine_save, posterior_sample,
                         train_decoder, train_mdn)
@@ -53,13 +54,9 @@ MDN_COMPONENTS = 5
 # Files under old keys stay where they are; delete the directory to clear them.
 ARTIFACT_VERSION = 1
 
-_TASKS = tuple(TASKS)
-_SIZES = {key for _build, keys in TASKS.values() for key in keys}
 _METHODS = ("npe_plain", "npe_mds")
 _COUNTS = ("d", "obs_dim", "n_obs", "horizon", "n_train", "n_features", "max_epochs",
            "patience", "n_test_datasets", "n_posterior_samples", "n_predictive")
-_DEFAULT_N_TRAIN = {"gaussian": 50_000, "factor": 50_000, "oup": 10_000, "sir": 10_000}
-_DEFAULT_HORIZON = {"oup": 25, "sir": 365}
 
 
 @dataclass
@@ -68,8 +65,8 @@ class ExperimentConfig:
     d: int = 2  # gaussian location dimension
     obs_dim: int = 5  # factor observation dimension
     n_obs: int = 100  # rows per dataset
-    horizon: int | None = None  # trajectory length (oup/sir only)
-    n_train: int | None = None  # simulation pool size (per-task default)
+    horizon: int | None = None  # trajectory length (the task record's default)
+    n_train: int | None = None  # simulation pool size (the task record's default)
     n_features: int = 512
     holdout_frac: float = 0.05
     gate: bool = True
@@ -86,10 +83,6 @@ class ExperimentConfig:
     alpha: ClassVar[float] = 0.05  # gate false-alarm rate
     coverage_alpha: ClassVar[float] = 0.05  # credible level of the coverage metric
 
-    @property
-    def engine(self) -> str:
-        return "analytic" if self.task == "gaussian" else "mdn"
-
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
@@ -100,7 +93,8 @@ def _is_number(x) -> bool:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build and validate a config; unknown keys are errors."""
+    """Build and validate a config against its task's TASKS record, read at
+    call time; unknown keys are errors."""
     if not isinstance(raw, dict):
         raise ValueError(f"config document must be a mapping, got {type(raw).__name__}")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -108,15 +102,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     cfg = ExperimentConfig(**raw)
-    if cfg.task not in _TASKS:
-        raise ValueError(f"unknown task {cfg.task!r} (expected one of {_TASKS})")
-    foreign = sorted(_SIZES.intersection(raw).difference(TASKS[cfg.task][1]))
+    if cfg.task not in TASKS:
+        raise ValueError(f"unknown task {cfg.task!r} (expected one of {tuple(TASKS)})")
+    record = TASKS[cfg.task]
+    foreign = sorted({k for r in TASKS.values() for k in r.sizes if k in raw} - set(record.sizes))
     if foreign:
         raise ValueError(f"{', '.join(foreign)} does not apply to task {cfg.task!r}")
     if cfg.horizon is None:
-        cfg.horizon = _DEFAULT_HORIZON.get(cfg.task)
+        cfg.horizon = record.horizon
     if cfg.n_train is None:
-        cfg.n_train = _DEFAULT_N_TRAIN[cfg.task]
+        cfg.n_train = record.n_train
     if not isinstance(cfg.gate, bool):
         raise ValueError(f"gate must be true or false, got {cfg.gate!r}")
     if not _is_int(cfg.master_seed):
@@ -140,7 +135,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(cfg.contamination, list) or not cfg.contamination:
         raise ValueError("contamination must be a non-empty list of cells")
     cells = []
-    kind = default_kind(cfg.task)
+    kind = record.contamination
     for cell in cfg.contamination:
         if not isinstance(cell, dict):
             raise ValueError(f"contamination cells must be mappings, got {cell!r}")
@@ -195,7 +190,7 @@ def _decoder_key(cfg: ExperimentConfig) -> str:
     return _key(parts)[:16]
 
 def _engine_key(cfg: ExperimentConfig) -> str:
-    parts = {"pool": _pool_key(cfg), "engine": cfg.engine,
+    parts = {"pool": _pool_key(cfg), "engine": TASKS[cfg.task].engine,
              "mdn_components": MDN_COMPONENTS, "learning_rate": LEARNING_RATE,
              "batch_size": BATCH_SIZE, "max_epochs": cfg.max_epochs,
              "patience": cfg.patience}
@@ -203,12 +198,12 @@ def _engine_key(cfg: ExperimentConfig) -> str:
 
 
 def build_task(cfg: ExperimentConfig):
-    """The config's task from exactly the keys it takes. A factor task's
-    loading matrix is frozen from its own seed stream."""
-    params = {key: getattr(cfg, key) for key in TASKS[cfg.task][1]}
-    if cfg.task == "factor":
-        rng = derive_rng(cfg.master_seed, "factor-loading")
-        params["loading"] = rng.standard_normal((cfg.obs_dim, 2))
+    """The config's task from exactly the size keys it takes, plus the
+    params its record freezes from the master seed (a factor loading)."""
+    record = TASKS[cfg.task]
+    params = {key: getattr(cfg, key) for key in record.sizes}
+    if record.frozen is not None:
+        params.update(record.frozen(params, cfg.master_seed))
     return make_task(cfg.task, **params)
 
 
@@ -247,7 +242,7 @@ def stage_engine(cfg: ExperimentConfig, out_dir: Path, pool=None, task=None):
     path = out_dir / f"engine-{_engine_key(cfg)}.json"
     if path.exists():
         return engine_load(path), path
-    if cfg.engine == "analytic":
+    if TASKS[cfg.task].engine == "analytic":
         engine = AnalyticGaussianEngine(n_obs=cfg.n_obs, dim=cfg.d)
     else:
         if pool is None:
@@ -301,9 +296,8 @@ def _eval_item(item):
     statistic, flagged = detect(dec, s_tilde, obs_emb)
 
     ref_samples = None
-    if task.name == "gaussian":
-        ref_engine = AnalyticGaussianEngine(n_obs=cfg.n_obs, dim=cfg.d)
-        ref_samples = posterior_sample(ref_engine, s_oracle, cfg.n_posterior_samples,
+    if isinstance(engine, AnalyticGaussianEngine):  # the exact posterior is the reference
+        ref_samples = posterior_sample(engine, s_oracle, cfg.n_posterior_samples,
                                        derive_rng(seed, "reference", cell_idx, j))
 
     lines = []

@@ -21,13 +21,13 @@ single float to text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import FeatureMap, feature_map_from_payload, feature_map_to_payload, rff_matrix
 from .nn import Mlp, fit_mlp, mlp_forward, mlp_from_payload, mlp_init, mlp_to_payload, mlp_vjp
-from .simulators import TrainingPool, gaussian_posterior
+from .simulators import TaskSpec, TrainingPool, gaussian_posterior, make_task
 from .util import as_float_array, check_shape, payload_hash, save_payload
 
 _CHUNK_ELEMS = 2 ** 20  # cap on rows * K per feature chunk: one 8 MB float64 block
@@ -44,9 +44,8 @@ class DecoderEmbedding:
     regressor: Mlp
     summary_mean: np.ndarray  # (d_s,)
     summary_std: np.ndarray  # (d_s,)
+    task: TaskSpec  # whose summary it decodes; saved as its name and params
     threshold: float | None = None  # set by calibrate_threshold
-    task_name: str = ""
-    task_params: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -117,8 +116,7 @@ def train_decoder(pool: TrainingPool, fm: FeatureMap, rng: np.random.Generator,
     report = fit_mlp(mlp, standardize(s_train, mean, std), z_train, max_epochs, patience, rng)
 
     dec = DecoderEmbedding(feature_map=fm, regressor=mlp, summary_mean=mean,
-                           summary_std=std, task_name=pool.task_name,
-                           task_params=dict(pool.params))
+                           summary_std=std, task=make_task(pool.task_name, **pool.params))
     holdout = HoldoutRecords(summaries=pool.summaries[hold_idx],
                              embeddings=embeddings[hold_idx])
     return dec, holdout, report
@@ -275,7 +273,7 @@ def decoder_to_payload(dec: DecoderEmbedding, holdout: HoldoutRecords | None = N
     """The decoder as JSON values and float64 arrays (aliasing the model's)."""
     payload = {
         "kind": "decoder",
-        "task": {"name": dec.task_name, "params": dec.task_params},
+        "task": {"name": dec.task.name, "params": dec.task.params},
         "feature_map": feature_map_to_payload(dec.feature_map),
         "regressor": mlp_to_payload(dec.regressor),
         "summary_mean": dec.summary_mean,
@@ -316,9 +314,8 @@ def decoder_from_payload(payload: dict):
         regressor=regressor,
         summary_mean=_input_array(payload, "summary_mean", regressor),
         summary_std=_input_array(payload, "summary_std", regressor),
+        task=make_task(payload["task"]["name"], **payload["task"]["params"]),
         threshold=None if threshold is None else float(as_float_array(threshold)[0]),
-        task_name=payload["task"]["name"],
-        task_params=dict(payload["task"]["params"]),
     )
     holdout = None
     if "holdout" in payload:

@@ -1,9 +1,10 @@
 """Evaluation metrics for posterior queries.
 
 All metrics are deterministic given their inputs (and an explicit rng where
-sampling is involved). MMD-based metrics recompute a median-heuristic
-bandwidth on the pooled inputs, so values are comparable across methods on
-the same data.
+sampling is involved). Each sample_mmd call takes its median-heuristic
+bandwidth from its own pooled inputs, so the MMDs of two methods against
+one reference are taken under two different kernels and are not strictly
+comparable: a difference between them mixes the methods with the kernels.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ turn, so posterior-predictive resampling can probe out-of-prior parameters
 in one call and gets the same rows as n sequential single-row simulations.
 summary(data) checks the dataset's shape and applies the statistic.
 
-TASKS maps each task name to its constructor and the sizes it takes,
-which are also its config keys; make_task rebuilds a task from its name
-and params through it.
+TASKS maps each task name to its TaskRecord, which holds every per-task
+fact, from its constructor and sizes (also its config keys) to its engine;
+make_task rebuilds a task from its name and params through it.
 
 The OU and SIR tasks share one Euler loop each, driven by a pre-drawn noise
 block of shape (horizon, n_traj) and one parameter for all paths or one
@@ -171,9 +171,9 @@ def gaussian_posterior(summary: np.ndarray, n_obs: int):
 def factor_task(obs_dim: int, n_obs: int, loading) -> TaskSpec:
     """x_i ~ N(A theta, I_D) with a frozen (D, 2) loading matrix A.
 
-    A is stored in params so the task can be rebuilt exactly; the harness
-    draws it i.i.d. standard normal from its own seed stream. The summary
-    is the least-squares readout pinv(A) @ xbar.
+    A is stored in params so the task can be rebuilt exactly; a run draws
+    it once, with _factor_loading. The summary is the least-squares readout
+    pinv(A) @ xbar.
     """
     if obs_dim < 2 or n_obs < 1:
         raise ValueError(f"obs_dim must be >= 2 and n_obs positive, got {obs_dim}, {n_obs}")
@@ -383,12 +383,33 @@ def sir_task(n_obs: int, horizon: int) -> TaskSpec:
 # Task registry and training pools
 # ---------------------------------------------------------------------------
 
-# every task's constructor and the sizes it takes, which are its config keys
+@dataclass(frozen=True)
+class TaskRecord:
+    build: Callable  # (**params) -> TaskSpec
+    sizes: tuple  # the size params build takes, which are also its config keys
+    n_train: int  # default pool size
+    horizon: int | None  # default trajectory length, None for a task without one
+    contamination: str  # the one contamination kind that applies to it
+    engine: str  # "analytic" (the closed form, also the reference posterior) or "mdn"
+    frozen: Callable | None  # (sizes, master_seed) -> params drawn once per run, or None
+
+
+def _factor_loading(sizes: dict, master_seed: int) -> dict:
+    """A factor loading, i.i.d. standard normal from its own seed stream."""
+    rng = derive_rng(master_seed, "factor-loading")
+    return {"loading": rng.standard_normal((sizes["obs_dim"], 2))}
+
+
+# name: (build, sizes, n_train, horizon, contamination, engine, frozen)
 TASKS = {
-    "gaussian": (gaussian_task, ("d", "n_obs")),
-    "factor": (factor_task, ("obs_dim", "n_obs")),
-    "oup": (oup_task, ("n_obs", "horizon")),
-    "sir": (sir_task, ("n_obs", "horizon")),
+    "gaussian": TaskRecord(gaussian_task, ("d", "n_obs"), 50_000, None,
+                           "row_outliers", "analytic", None),
+    "factor": TaskRecord(factor_task, ("obs_dim", "n_obs"), 50_000, None,
+                         "row_outliers", "mdn", _factor_loading),
+    "oup": TaskRecord(oup_task, ("n_obs", "horizon"), 10_000, 25,
+                      "offprior_trajectories", "mdn", None),
+    "sir": TaskRecord(sir_task, ("n_obs", "horizon"), 10_000, 365,
+                      "weekend_underreporting", "mdn", None),
 }
 
 
@@ -398,7 +419,7 @@ def make_task(name: str, **params) -> TaskSpec:
     if name not in TASKS:
         raise ValueError(f"unknown task {name!r}")
     try:
-        return TASKS[name][0](**params)
+        return TASKS[name].build(**params)
     except TypeError as err:
         raise ValueError(f"bad params for task {name!r}: {err}") from err
 

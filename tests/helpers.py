@@ -18,7 +18,8 @@ from mdsum.inference import (AnalyticGaussianEngine, DecoderEmbedding, HoldoutRe
                              MdnEngine, PosteriorEngine, mdn_parameters)
 from mdsum.kernels import FeatureMap
 from mdsum.nn import Mlp, backward_from_output_grad, forward_batch, mlp_init, mse_loss_grad
-from mdsum.simulators import _sir_paths, gaussian_posterior, simulate_oup_trajectories
+from mdsum.simulators import (_sir_paths, gaussian_posterior, gaussian_task,
+                              simulate_oup_trajectories)
 from mdsum.util import NumericalError, derive_rng
 
 
@@ -67,8 +68,8 @@ def fixed_decoder(threshold=0.75):
     mlp.biases[1] = rng.standard_normal(6)
     dec = DecoderEmbedding(feature_map=fm, regressor=mlp,
                            summary_mean=np.array([0.5, -1.0]),
-                           summary_std=np.array([2.0, 0.25]), threshold=threshold,
-                           task_name="gaussian", task_params={"d": 2, "n_obs": 20})
+                           summary_std=np.array([2.0, 0.25]),
+                           task=gaussian_task(d=2, n_obs=20), threshold=threshold)
     holdout = HoldoutRecords(summaries=rng.standard_normal((4, 2)),
                              embeddings=rng.standard_normal((4, 6)))
     return dec, holdout

@@ -255,7 +255,7 @@ def test_criterion_05_detection_calibration():
     dec, _engine, stack_s = _main_stack()
     crit = Criterion(5, "clean-data flag rate stays near the design level",
                      budget_s=300.0, stack_s=stack_s)
-    task = make_task(dec.task_name, **dec.task_params)
+    task = dec.task
     flags = 0
     for j in range(500):
         rng = derive_rng(MASTER_SEED, "acceptance-clean", j)
@@ -310,7 +310,7 @@ def test_criterion_06_gaussian_robustness_direction():
     # Fidelity: on the same datasets, adaptation reaches the minimiser of its
     # exact objective, ||closed-form embedding(s) - zbar_obs||^2, to within one
     # posterior standard deviation. Runs live, so a stale CSV cannot pass it.
-    task = make_task(dec.task_name, **dec.task_params)
+    task = dec.task
     cell_idx = 0  # the config's single grid cell
     cell = cfg.contamination[cell_idx]
     spec = ContaminationSpec(kind=cell["kind"], eps=cell["eps"], delta=cell["delta"])
@@ -336,7 +336,7 @@ def test_criterion_07_contamination_slope():
     dec, engine, stack_s = _main_stack()
     crit = Criterion(7, "posterior drift grows at most linearly in contamination",
                      budget_s=300.0, stack_s=stack_s)
-    task = make_task(dec.task_name, **dec.task_params)
+    task = dec.task
     eps_grid = (0.01, 0.02, 0.04)
     kls = {eps: [] for eps in eps_grid}
     for j in range(10):
@@ -365,7 +365,7 @@ def test_criterion_08_sample_size_consistency():
     for n_obs in (10, 100, 1000):
         cfg = config_from_dict(dict(TRIO_CONFIG, n_obs=n_obs))
         dec, _holdout, _ = stage_decoder(cfg, CACHE)
-        task = make_task(dec.task_name, **dec.task_params)
+        task = dec.task
         errs = []
         for j in range(30):
             rng = derive_rng(MASTER_SEED, "acceptance-consistency", n_obs, j)
@@ -452,7 +452,7 @@ def test_criterion_11_determinism_and_amortization():
         dec_before, eng_before = decoder_hash(dec), engine_hash(engine)
         crit.check("manifest records the decoder content hash",
                    first["decoder_hash"] == dec_before)
-        task = make_task(dec.task_name, **dec.task_params)
+        task = dec.task
         for j in range(6):
             rng = derive_rng(MASTER_SEED, "acceptance-amortize", j)
             data = task.simulate(task.prior_sample(rng), rng)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import closed_form_embedding
 
+from mdsum import adaptation, inference, simulators
 from mdsum.adaptation import (
     CLIP_BAND,
     _optimizer_start,
@@ -45,8 +46,8 @@ def zero_prediction_decoder():
     mlp = mlp_init([1, 1], derive_rng(24, "zero"))
     mlp.weights[0][:] = 0.0
     fm = build_feature_map(1, 1, 1.0, derive_rng(24, "fm"))
-    return DecoderEmbedding(feature_map=fm, regressor=mlp,
-                            summary_mean=np.zeros(1), summary_std=np.ones(1))
+    return DecoderEmbedding(feature_map=fm, regressor=mlp, summary_mean=np.zeros(1),
+                            summary_std=np.ones(1), task=gaussian_task(d=1, n_obs=N_OBS))
 
 
 # ---------------------------------------------------------------------------
@@ -217,25 +218,32 @@ def test_adapt_requires_threshold_when_gated(calibrated_decoder):
     assert res.threshold is None
 
 
-def test_adapt_takes_its_summary_from_the_decoder_task(calibrated_decoder, monkeypatch):
-    # the summary is that of make_task(dec.task_name, **dec.task_params), so
-    # a decoder without a known task cannot be adapted
+def test_adapt_takes_its_summary_from_the_decoder_task(calibrated_decoder):
+    # the summary is dec.task's, the task the decoder was trained on
     task, dec = calibrated_decoder
-    anon = copy.copy(dec)
-    anon.task_name = ""
     data = task.simulate(np.zeros(2), derive_rng(26, "anon"))
-    with pytest.raises(ValueError):
-        adapt(anon, data, gate=False)
-    calls = []
-
-    def recording_make_task(name, **params):
-        calls.append((name, params))
-        return dataclasses.replace(task, summary=lambda d: d.mean(axis=0) + 1.0)
-
-    monkeypatch.setattr("mdsum.adaptation.make_task", recording_make_task)
-    res = adapt(dec, data, gate=False)
-    assert calls == [(dec.task_name, dec.task_params)]
+    shifted = copy.copy(dec)
+    shifted.task = dataclasses.replace(task, summary=lambda d: d.mean(axis=0) + 1.0)
+    res = adapt(shifted, data, gate=False)
     assert np.array_equal(res.s_initial, data.mean(axis=0) + 1.0)
+    assert np.array_equal(adapt(dec, data, gate=False).s_initial, data.mean(axis=0))
+
+
+def test_adapt_rebuilds_no_task(calibrated_decoder, monkeypatch):
+    # the decoder carries its task, built once when it is trained or loaded;
+    # a query never rebuilds it
+    task, dec = calibrated_decoder
+    calls = []
+    for module in (simulators, inference, adaptation):
+        monkeypatch.setattr(module, "make_task",
+                            lambda *a, _f=module.make_task, **k: calls.append(a) or _f(*a, **k))
+    for i in range(3):
+        clean = task.simulate(np.zeros(2), derive_rng(26, "rebuild", i))
+        dirty = contaminated_dataset(np.zeros(2), derive_rng(26, "rebuild-dirty", i))
+        for data in (clean, dirty):
+            for gate in (True, False):
+                adapt(dec, data, gate=gate)
+    assert calls == []
 
 
 def test_adapt_falls_back_when_optimizer_cannot_improve(calibrated_decoder, monkeypatch):
@@ -269,7 +277,7 @@ def test_adapt_fails_closed_on_non_finite_data(calibrated_decoder, bad):
 
 @pytest.mark.parametrize("shape", [(N_OBS + 1, 2), (N_OBS, 3), (2 * N_OBS,)],
                          ids=["rows", "width", "1d"])
-def test_adapt_rejects_wrongly_shaped_observations(calibrated_decoder, shape, monkeypatch):
+def test_adapt_rejects_wrongly_shaped_observations(calibrated_decoder, shape):
     # a dataset the decoder's task cannot have produced must fail loudly,
     # before any summary is computed, with the gate on or off
     task, dec = calibrated_decoder
@@ -281,11 +289,11 @@ def test_adapt_rejects_wrongly_shaped_observations(calibrated_decoder, shape, mo
     def summary(_):
         raise AssertionError("summary computed on a wrongly shaped dataset")
 
-    monkeypatch.setattr("mdsum.adaptation.make_task",
-                        lambda name, **params: dataclasses.replace(task, summary=summary))
+    guarded = copy.copy(dec)
+    guarded.task = dataclasses.replace(task, summary=summary)
     for gate in (True, False):
         with pytest.raises(ValueError, match="observations must have shape"):
-            adapt(dec, data, gate=gate)
+            adapt(guarded, data, gate=gate)
 
 
 def test_detect_and_adapt_share_the_statistic(calibrated_decoder):

@@ -142,7 +142,7 @@ def test_every_defaulted_value_is_set_outside_the_tests():
         f"allowed but now set or gone: {sorted(set(UNSET_ALLOWED) - set(unset))}")
 
 
-SETTABLE_CEILING = 47
+SETTABLE_CEILING = 45
 
 
 def test_settable_values_stay_under_the_ceiling():
@@ -156,6 +156,7 @@ def test_settable_values_stay_under_the_ceiling():
 # imported names a module keeps without using them, each with its reason
 UNUSED_IMPORT_ALLOWED = {
     "metrics.make_task": "perfbench/tracing.py patches make_task on mdsum.metrics",
+    "adaptation.make_task": "perfbench/tracing.py patches make_task on mdsum.adaptation",
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,9 @@ from mdsum.contamination import (
     contaminate_gaussian,
     contaminate_oup,
     contaminate_sir,
-    default_kind,
     _count,
 )
-from mdsum.simulators import gaussian_task, oup_task, sir_task
+from mdsum.simulators import TASKS, gaussian_task, oup_task, sir_task
 from mdsum.util import derive_rng
 
 
@@ -152,12 +153,16 @@ def test_spec_validation_and_defaults():
         ContaminationSpec(kind="row_outliers", eps=-0.1)
     with pytest.raises(ValueError):
         ContaminationSpec(kind="row_outliers", eps=0.1, delta=np.nan)
-    assert default_kind("gaussian") == "row_outliers"
-    assert default_kind("factor") == "row_outliers"
-    assert default_kind("oup") == "offprior_trajectories"
-    assert default_kind("sir") == "weekend_underreporting"
-    with pytest.raises(ValueError):
-        default_kind("mystery")
+    # each task's one kind lives in its simulators.TASKS record
+    kinds = {name: record.contamination for name, record in TASKS.items()}
+    assert kinds == {"gaussian": "row_outliers", "factor": "row_outliers",
+                     "oup": "offprior_trajectories", "sir": "weekend_underreporting"}
+    for kind in kinds.values():
+        assert ContaminationSpec(kind=kind, eps=0.1).kind == kind
+    mystery = dataclasses.replace(gaussian_task(d=2, n_obs=4), name="mystery")
+    with pytest.raises(ValueError, match="does not apply to task 'mystery'"):
+        apply_contamination(ContaminationSpec(kind="row_outliers", eps=0.1), mystery,
+                            np.zeros((4, 2)), derive_rng(54, "mystery"))
 
 
 def test_apply_contamination_checks_task_compatibility():

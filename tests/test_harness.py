@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 
 import mdsum.harness
+from mdsum import simulators
 from mdsum.harness import (
     CSV_HEADER,
     ExperimentConfig,
     StageError,
+    _engine_key,
     config_from_dict,
     config_hash,
     config_load,
@@ -19,6 +22,8 @@ from mdsum.harness import (
     summarize,
     write_summary_csv,
 )
+from mdsum.inference import decoder_load
+from mdsum.simulators import TASKS, gaussian_task
 
 TINY = {
     "task": "gaussian",
@@ -36,6 +41,18 @@ TINY = {
 }
 
 
+# The engine stage key of each task's default config per ARTIFACT_VERSION.
+# The key folds in the engine its task record names (analytic or mdn).
+ENGINE_KEYS = {
+    1: {"gaussian": "68efe92964c39b83", "factor": "8fc960e65139a4e1",
+        "oup": "3424d9ff8faf4952", "sir": "7e3e3b4e50b2a39c"},
+}
+
+
+def _default_engine_key(task):
+    return ENGINE_KEYS.get(mdsum.harness.ARTIFACT_VERSION, {}).get(task)
+
+
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
@@ -43,7 +60,7 @@ TINY = {
 def test_minimal_config_fills_defaults():
     cfg = config_from_dict({"task": "gaussian"})
     assert cfg.n_train == 50_000
-    assert cfg.engine == "analytic"
+    assert _engine_key(cfg) == _default_engine_key("gaussian")
     assert cfg.horizon is None
     assert cfg.gate is True
     assert cfg.methods == ["npe_plain", "npe_mds"]
@@ -54,7 +71,7 @@ def test_trajectory_task_defaults():
     cfg = config_from_dict({"task": "oup"})
     assert cfg.horizon == 25
     assert cfg.n_train == 10_000
-    assert cfg.engine == "mdn"
+    assert _engine_key(cfg) == _default_engine_key("oup")
     assert cfg.contamination[0]["kind"] == "offprior_trajectories"
     assert config_from_dict({"task": "sir"}).horizon == 365
 
@@ -120,8 +137,39 @@ def test_fixed_values_are_not_config_keys(key, value):
 def test_fixed_values_stay_readable():
     gauss, oup = config_from_dict({"task": "gaussian"}), config_from_dict({"task": "oup"})
     assert gauss.alpha == oup.coverage_alpha == 0.05
-    assert (gauss.engine, oup.engine) == ("analytic", "mdn")
-    assert "engine" not in config_to_dict(gauss)
+    assert (TASKS[gauss.task].engine, TASKS[oup.task].engine) == ("analytic", "mdn")
+    assert not hasattr(gauss, "engine") and "engine" not in config_to_dict(gauss)
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_engine_key_holds_the_engine_of_the_task_record(task):
+    assert _engine_key(config_from_dict({"task": task})) == _default_engine_key(task)
+
+
+def test_a_fifth_task_needs_one_record(monkeypatch, tmp_path):
+    # every per-task fact the harness, contamination and adaptation read is
+    # in the task's simulators.TASKS record
+    def toy_task(d, n_obs):
+        return dataclasses.replace(gaussian_task(d, n_obs), name="toy")
+
+    record = simulators.TaskRecord(build=toy_task, sizes=("d", "n_obs"), n_train=200,
+                                   horizon=None, contamination="row_outliers",
+                                   engine="mdn", frozen=None)
+    monkeypatch.setitem(simulators.TASKS, "toy", record)
+    defaults = config_from_dict({"task": "toy"})
+    assert (defaults.n_train, defaults.horizon) == (200, None)
+    with pytest.raises(ValueError, match="horizon does not apply to task 'toy'"):
+        config_from_dict({"task": "toy", "horizon": 5})
+    cfg = config_from_dict({**TINY, "task": "toy", "n_test_datasets": 2,
+                            "contamination": [{"eps": 0.2, "delta": 4.0}]})
+    assert cfg.contamination == [{"kind": "row_outliers", "eps": 0.2, "delta": 4.0}]
+    manifest = run_pipeline(cfg, tmp_path, jobs=1)
+    rows = read_results_csv(tmp_path / manifest["artifacts"]["results"])
+    assert len(rows) == 4 and {r["task"] for r in rows} == {"toy"}
+    # an MDN engine has no exact posterior to score against
+    assert all(r["posterior_mmd"] is None for r in rows)
+    dec, _ = decoder_load(tmp_path / manifest["artifacts"]["decoder"])
+    assert dec.task.name == "toy" and dec.task.params == {"d": 2, "n_obs": 15}
 
 
 @pytest.mark.parametrize("patch", [

@@ -372,7 +372,7 @@ def test_decoder_round_trip_is_value_exact(trained_decoder, tmp_path):
     for w_a, w_b in zip(loaded.regressor.weights, dec.regressor.weights):
         assert np.array_equal(w_a, w_b)
     assert loaded.threshold is None
-    assert loaded.task_name == "gaussian"
+    assert loaded.task.name == "gaussian"
     assert np.array_equal(loaded_holdout.embeddings, holdout.embeddings)
     s = np.array([0.3, -0.8])
     assert np.array_equal(decoder_embed(loaded, s), decoder_embed(dec, s))
@@ -402,8 +402,8 @@ def test_decoder_hash_tracks_threshold(trained_decoder):
                  (rebuilt.feature_map.frequencies, dec2.feature_map.frequencies),
                  (rebuilt.regressor.weights[0], dec2.regressor.weights[0])]:
         assert np.array_equal(a, b) and not np.shares_memory(a, b)
-    assert rebuilt.task_params == dec2.task_params
-    assert rebuilt.task_params is not dec2.task_params
+    assert rebuilt.task.params == dec2.task.params
+    assert rebuilt.task is not dec2.task
     # the amortization audit rests on the hash seeing a last-bits change
     # to a single regressor weight
     dec3 = copy.copy(dec)
@@ -460,7 +460,7 @@ DECODER_EDITS = {
     "negative_zero": _set_negative_zero,
     "same_bytes_other_shape": _reshape_frequencies,
     "threshold_none": lambda d: setattr(d, "threshold", None),
-    "task_params": lambda d: d.task_params.__setitem__("n_obs", 21),
+    "task_params": lambda d: setattr(d, "task", gaussian_task(d=2, n_obs=21)),
 }
 
 
@@ -661,7 +661,7 @@ def test_saved_files_keep_the_nested_hex_format(tmp_path):
     fm = dec.feature_map
     old_decoder = {
         "kind": "decoder",
-        "task": {"name": dec.task_name, "params": dec.task_params},
+        "task": {"name": dec.task.name, "params": dec.task.params},
         "feature_map": {"kind": "feature_map", "dim": fm.dim, "n_features": fm.n_features,
                         "bandwidth": hex_encoded(np.array([fm.bandwidth])),
                         "frequencies": hex_encoded(fm.frequencies),

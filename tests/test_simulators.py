@@ -456,7 +456,7 @@ OUTSIDE_PRIOR = {"oup": [3.0, 0.0], "sir": [0.1, 0.2]}
 def test_every_registered_task_rebuilds_and_checks_its_inputs(name):
     task = build_task(config_from_dict({"task": name, "n_obs": 4}))
     assert task.name == name
-    assert set(task.params) - {"loading"} == set(TASKS[name][1])
+    assert set(task.params) - {"loading"} == set(TASKS[name].sizes)
     thetas = np.stack([task.prior_sample(derive_rng(60, "prior", i)) for i in range(3)])
     runs = []
     for t in (task, make_task(task.name, **task.params)):
