@@ -10,11 +10,12 @@ Given a frozen decoder and an observed dataset, the pipeline is:
    calibrated on clean held-out simulations (the (1 - alpha) quantile of the
    same statistic);
 3. only if flagged, minimize ||mu(s) - mu_obs||^2 over s starting from s0
-   with L-BFGS at its default options; the caller queries the posterior
-   engine at the minimizer instead.
+   with L-BFGS (``optimize.lbfgs_minimize``); the caller queries the
+   posterior engine at the minimizer instead.
 
-The statistic has one definition, ``_statistic``, used by calibration,
-detection and both ends of the adaptation.
+The statistic has one definition, ``_statistic``: the random-feature MMD^2
+estimate (``kernels.mmd2_rff``) between the decoded and the observed mean
+embeddings. Calibration, detection and both ends of the adaptation use it.
 
 The posterior engine and decoder are never modified; if the optimizer fails
 to improve on s0 the original summary is kept. When s0 lies absurdly far
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import DecoderEmbedding, HoldoutRecords, decoder_embed, decoder_objective, standardize
-from .kernels import mean_embedding
+from .kernels import mean_embedding, mmd2_rff
 from .optimize import lbfgs_minimize
 from .simulators import make_task  # noqa: F401  (perfbench/tracing.py patches make_task here)
 from .util import check_finite
@@ -53,8 +54,7 @@ class AdaptationResult:
 
 def _statistic(dec: DecoderEmbedding, s, embedding: np.ndarray) -> float:
     """||mu(s) - embedding||^2, the detection statistic and the objective."""
-    diff = decoder_embed(dec, s) - embedding
-    return float(diff @ diff)
+    return mmd2_rff(dec.feature_map, decoder_embed(dec, s), embedding)
 
 
 def calibrate_threshold(dec: DecoderEmbedding, holdout: HoldoutRecords,
@@ -101,17 +101,6 @@ def _optimizer_start(dec: DecoderEmbedding, s0: np.ndarray) -> np.ndarray:
     return dec.summary_mean + dec.summary_std * u_clipped
 
 
-def minimize_embedding_distance(dec: DecoderEmbedding, target, s0):
-    """Minimize ||mu(s) - target||^2 from s0 with L-BFGS.
-
-    Returns (s, iterations, converged).
-    """
-    target = np.asarray(target, dtype=np.float64)
-    s0 = np.asarray(s0, dtype=np.float64)
-    objective = decoder_objective(dec, target)
-    return lbfgs_minimize(objective, _optimizer_start(dec, s0))
-
-
 def adapt(dec: DecoderEmbedding, observations, gate: bool = True) -> AdaptationResult:
     """Full query-side pipeline for one observed dataset.
 
@@ -144,7 +133,8 @@ def adapt(dec: DecoderEmbedding, observations, gate: bool = True) -> AdaptationR
             objective_final=statistic, detected=False, statistic=statistic,
             threshold=dec.threshold, iterations=0, converged=True)
 
-    s_star, iters, converged = minimize_embedding_distance(dec, obs_emb, s0)
+    s_star, iters, converged = lbfgs_minimize(decoder_objective(dec, obs_emb),
+                                              _optimizer_start(dec, s0))
     final = _statistic(dec, s_star, obs_emb)
     if not np.all(np.isfinite(s_star)) or not (final < statistic):
         # safe fallback: keep the observed summary

@@ -9,8 +9,9 @@ task or a trained mixture density network.
 Each model has one payload description (``*_to_payload``): JSON values
 plus raw float64 arrays. ``util.save_payload`` writes it as JSON with every
 array swapped for its shape and the bit-exact ``float.hex`` string of each
-value, and ``*_from_payload`` reads either form, checking every array's
-shape against the model's own dimensions. ``decoder_hash`` and
+value, and ``*_from_payload`` reads that saved form back
+(``util.decode_floats``), checking every array's shape, and a decoder's
+task, against the model's own dimensions. ``decoder_hash`` and
 ``engine_hash`` are sha256 over the payload's JSON skeleton, with arrays
 replaced by their shapes, followed by each array's little-endian float64
 bytes in sorted-key order (``util.payload_hash``). They certify that
@@ -27,8 +28,9 @@ import numpy as np
 
 from .kernels import FeatureMap, feature_map_from_payload, feature_map_to_payload, rff_matrix
 from .nn import Mlp, fit_mlp, mlp_forward, mlp_from_payload, mlp_init, mlp_to_payload, mlp_vjp
+from .optimize import ObjectiveEval
 from .simulators import TaskSpec, TrainingPool, gaussian_posterior, make_task
-from .util import as_float_array, check_shape, payload_hash, save_payload
+from .util import check_shape, decode_floats, payload_hash, save_payload
 
 _CHUNK_ELEMS = 2 ** 20  # cap on rows * K per feature chunk: one 8 MB float64 block
 _STD_FLOOR = 1e-12
@@ -135,8 +137,6 @@ def decoder_objective(dec: DecoderEmbedding, target: np.ndarray):
     runs one forward pass; the gradient reuses its activations and chains
     through the input standardization.
     """
-    from .optimize import ObjectiveEval  # local import to avoid a cycle at module load
-
     target = np.asarray(target, dtype=np.float64)
 
     def objective(s: np.ndarray) -> ObjectiveEval:
@@ -295,33 +295,39 @@ def _network_from_payload(payload: dict, out_dim: int, what: str) -> Mlp:
 
 def _input_array(payload: dict, key: str, mlp: Mlp) -> np.ndarray:
     """A per-input standardization array, checked against the input width."""
-    return check_shape(key, as_float_array(payload[key]), (mlp.layer_dims[0],))
+    return check_shape(key, decode_floats(payload[key]), (mlp.layer_dims[0],))
 
 
 def decoder_from_payload(payload: dict):
-    """Rebuild (decoder, holdout or None) from a payload or its saved form.
+    """Rebuild (decoder, holdout or None) from a saved payload.
 
-    Every array is fresh (util.as_float_array), never aliasing the payload,
-    and its shape must agree with the model's dimensions (ValueError).
+    Every array is decoded afresh (util.decode_floats), and its shape must
+    agree with the model's dimensions, as must the task's row and summary
+    widths (ValueError).
     """
     if payload.get("kind") != "decoder":
         raise ValueError(f"not a decoder payload: kind={payload.get('kind')!r}")
     threshold = payload["threshold"]
     fm = feature_map_from_payload(payload["feature_map"])
     regressor = _network_from_payload(payload["regressor"], fm.n_features, "regressor")
+    task = make_task(payload["task"]["name"], **payload["task"]["params"])
+    if (task.obs_dim, task.summary_dim) != (fm.dim, regressor.layer_dims[0]):
+        raise ValueError(f"task {task.name} has rows of {task.obs_dim} and summaries of "
+                         f"{task.summary_dim}, but the models take {fm.dim} and "
+                         f"{regressor.layer_dims[0]}")
     dec = DecoderEmbedding(
         feature_map=fm,
         regressor=regressor,
         summary_mean=_input_array(payload, "summary_mean", regressor),
         summary_std=_input_array(payload, "summary_std", regressor),
-        task=make_task(payload["task"]["name"], **payload["task"]["params"]),
-        threshold=None if threshold is None else float(as_float_array(threshold)[0]),
+        task=task,
+        threshold=None if threshold is None else float(decode_floats(threshold)[0]),
     )
     holdout = None
     if "holdout" in payload:
         holdout = HoldoutRecords(
-            summaries=as_float_array(payload["holdout"]["summaries"]),
-            embeddings=as_float_array(payload["holdout"]["embeddings"]),
+            summaries=decode_floats(payload["holdout"]["summaries"]),
+            embeddings=decode_floats(payload["holdout"]["embeddings"]),
         )
     return dec, holdout
 
@@ -358,9 +364,9 @@ def engine_to_payload(engine: PosteriorEngine) -> dict:
 
 
 def engine_from_payload(payload: dict) -> PosteriorEngine:
-    """Rebuild an engine from a payload or its saved form; every array is
-    fresh (util.as_float_array), never aliasing the payload, and its shape
-    must agree with the engine's dimensions (ValueError)."""
+    """Rebuild an engine from a saved payload; every array is decoded afresh
+    (util.decode_floats), and its shape must agree with the engine's
+    dimensions (ValueError)."""
     if payload.get("kind") != "engine":
         raise ValueError(f"not an engine payload: kind={payload.get('kind')!r}")
     if payload["variant"] == "analytic_gaussian":

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .util import as_2d_f64, as_float_array, check_finite, check_shape
+from .util import as_2d_f64, check_finite, check_shape, decode_floats
 
 BANDWIDTH_FLOOR = 1e-8
 # distinct pairs above which median_heuristic takes a sample of this many
@@ -253,8 +253,8 @@ def feature_map_from_payload(payload: dict) -> FeatureMap:
     return FeatureMap(
         dim=dim,
         n_features=n_features,
-        bandwidth=float(as_float_array(payload["bandwidth"])[0]),
-        frequencies=check_shape("frequencies", as_float_array(payload["frequencies"]),
+        bandwidth=float(decode_floats(payload["bandwidth"])[0]),
+        frequencies=check_shape("frequencies", decode_floats(payload["frequencies"]),
                                 (n_features, dim)),
-        phases=check_shape("phases", as_float_array(payload["phases"]), (n_features,)),
+        phases=check_shape("phases", decode_floats(payload["phases"]), (n_features,)),
     )

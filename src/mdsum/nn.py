@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .util import NumericalError, as_float_array, check_shape
+from .util import NumericalError, check_shape, decode_floats
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -277,8 +277,8 @@ def mlp_from_payload(payload: dict) -> Mlp:
                          f"{len(payload['weights'])} and {len(payload['biases'])}")
     weights, biases = [], []
     for l, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        weights.append(check_shape(f"weight {l}", as_float_array(payload["weights"][l]),
+        weights.append(check_shape(f"weight {l}", decode_floats(payload["weights"][l]),
                                    (fan_out, fan_in)))
-        biases.append(check_shape(f"bias {l}", as_float_array(payload["biases"][l]),
+        biases.append(check_shape(f"bias {l}", decode_floats(payload["biases"][l]),
                                   (fan_out,)))
     return Mlp(layer_dims=dims, weights=weights, biases=biases)

@@ -6,9 +6,9 @@ If the line search cannot find an acceptable point it falls back to a
 backtracking steepest-descent step, and gives up only when that also
 fails. Accepted steps never increase the objective. It is the one
 query-time optimizer: the adaptation objective is smooth with an exact
-gradient. The memory (HISTORY_SIZE pairs), the Wolfe constants C1 and C2
-and the line-search budget (MAX_LINE_EVALS) are fixed; OptimOptions holds
-only the iteration cap and the gradient tolerance.
+gradient. The memory (HISTORY_SIZE pairs), the Wolfe constants C1 and C2,
+the line-search budget (MAX_LINE_EVALS), the iteration cap (MAX_ITERS) and
+the gradient tolerance (GRAD_TOL) are module constants, read at call time.
 """
 
 from __future__ import annotations
@@ -32,19 +32,8 @@ HISTORY_SIZE = 10  # (s, y) pairs the two-loop recursion keeps
 C1 = 1e-4  # sufficient-decrease (Armijo) constant
 C2 = 0.9  # curvature constant of the strong Wolfe conditions
 MAX_LINE_EVALS = 60  # objective evaluations one line search may spend
-
-
-@dataclass
-class OptimOptions:
-    max_iters: int = 100
-    grad_tol: float = 1e-7
-
-
-def _validate(opts: OptimOptions) -> None:
-    if opts.max_iters < 1:
-        raise ValueError(f"max_iters must be positive, got {opts.max_iters}")
-    if not (opts.grad_tol > 0.0):
-        raise ValueError(f"grad_tol must be positive, got {opts.grad_tol}")
+MAX_ITERS = 100  # outer iterations before lbfgs_minimize gives up
+GRAD_TOL = 1e-7  # infinity norm of the gradient that counts as converged
 
 
 def _quad_min(a, fa, dfa, b, fb):
@@ -224,27 +213,24 @@ def _backtrack(objective, x, fe0: ObjectiveEval):
     return None
 
 
-def lbfgs_minimize(objective: Objective, x0, opts: OptimOptions | None = None):
+def lbfgs_minimize(objective: Objective, x0):
     """Minimize a smooth objective from x0.
 
     Returns (x, iterations, converged); converged means the infinity norm of
-    the gradient reached grad_tol. Non-finite objective values terminate the
-    run at the last accepted iterate, which is also the best, since accepted
-    steps never increase the objective.
+    the gradient reached GRAD_TOL within MAX_ITERS iterations. Non-finite
+    objective values terminate the run at the last accepted iterate, which
+    is also the best, since accepted steps never increase the objective.
     """
-    if opts is None:
-        opts = OptimOptions()
-    _validate(opts)
     x = np.array(x0, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"x0 must be a vector, got shape {x.shape}")
     fe = objective(x)
     if not np.isfinite(fe.value) or not np.all(np.isfinite(fe.gradient)):
         return x, 0, False
-    if np.max(np.abs(fe.gradient)) <= opts.grad_tol:
+    if np.max(np.abs(fe.gradient)) <= GRAD_TOL:
         return x, 0, True
     pairs: list = []
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         d = _two_loop(fe.gradient, pairs)
         if not np.all(np.isfinite(d)) or float(d @ fe.gradient) >= 0.0:
             pairs.clear()
@@ -269,6 +255,6 @@ def lbfgs_minimize(objective: Objective, x0, opts: OptimOptions | None = None):
             if len(pairs) > HISTORY_SIZE:
                 pairs.pop(0)
         x, fe = x_new, fe_new
-        if np.max(np.abs(fe.gradient)) <= opts.grad_tol:
+        if np.max(np.abs(fe.gradient)) <= GRAD_TOL:
             return x, it, True
-    return x, opts.max_iters, False
+    return x, MAX_ITERS, False

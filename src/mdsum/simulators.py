@@ -284,19 +284,20 @@ SIR_POPULATION = 10_000.0
 SIR_SIGMA = 0.05
 SIR_ETA = 0.05
 SIR_DT = 1.0
-SIR_INIT = (0.999, 0.001, 0.0)
+SIR_INIT = (0.999, 0.001)  # S and I at day 0, as population fractions
 SIR_RATE_MAX = 0.5
 
 
-def _sir_paths(theta, noise: np.ndarray, return_compartments: bool = False):
+def _sir_paths(theta, noise: np.ndarray):
     """Daily infection counts from an SIR model with a diffusing contact rate.
 
     The reproduction number follows dR0 = eta (b/g - R0) dt + sigma
     sqrt(|R0|) dW, reflected at zero and started at its reversion level b/g,
     with sigma = SIR_SIGMA, eta = SIR_ETA and dt = SIR_DT read at call time.
-    The effective transmission rate is g * R0. Compartments are clipped to
-    [0, 1] after every Euler step; counts are population * I_t for
-    t = 1 .. horizon.
+    The effective transmission rate is g * R0. Only S and I are tracked:
+    the recovered compartment R never feeds back into them or into the
+    counts, so it is left implicit. S and I are clipped to [0, 1] after
+    every Euler step; counts are population * I_t for t = 1 .. horizon.
 
     theta is one parameter (2,) for every path or one per path (n_traj, 2).
     noise holds the standard normal increments, shape (horizon, n_traj);
@@ -310,26 +311,16 @@ def _sir_paths(theta, noise: np.ndarray, return_compartments: bool = False):
     sqrt_dt = np.sqrt(dt)
     s = np.full(n_traj, SIR_INIT[0])
     i = np.full(n_traj, SIR_INIT[1])
-    r = np.full(n_traj, SIR_INIT[2])
     r0 = np.full(n_traj, r0_bar)
     out = np.empty((n_traj, horizon))
-    pre_clip_sums = np.empty((n_traj, horizon)) if return_compartments else None
     for t in range(horizon):
         beta_eff = gamma * r0
         flow_si = beta_eff * s * i * dt
         flow_ir = gamma * i * dt
         r0 = np.abs(r0 + eta * (r0_bar - r0) * dt + sigma * np.sqrt(np.abs(r0)) * sqrt_dt * noise[t])
-        s_new = s - flow_si
-        i_new = i + flow_si - flow_ir
-        r_new = r + flow_ir
-        if return_compartments:
-            pre_clip_sums[:, t] = s_new + i_new + r_new
-        s = np.clip(s_new, 0.0, 1.0)
-        i = np.clip(i_new, 0.0, 1.0)
-        r = np.clip(r_new, 0.0, 1.0)
+        s = np.clip(s - flow_si, 0.0, 1.0)
+        i = np.clip(i + flow_si - flow_ir, 0.0, 1.0)
         out[:, t] = SIR_POPULATION * i
-    if return_compartments:
-        return out, (s, i, r), pre_clip_sums
     return out
 
 

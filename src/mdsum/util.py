@@ -135,26 +135,25 @@ def save_payload(payload: Any, path) -> None:
         fh.write(parts[-1])
 
 
-def decode_floats(payload: dict) -> np.ndarray:
-    """The array of a saved {"shape", "hex"} dict (save_payload); other keys
-    (such as the ``dec`` mirror of older files) are ignored, and non-finite
-    values raise."""
-    hexes = payload["hex"]
-    vals = np.fromiter(map(float.fromhex, hexes), np.float64, count=len(hexes))
-    check_finite("decoded array", vals)
-    return vals.reshape(tuple(payload["shape"]))
+def decode_floats(leaf: Any) -> np.ndarray:
+    """A fresh float64 array from a saved {"shape", "hex"} leaf (save_payload).
 
-
-def as_float_array(leaf: Any) -> np.ndarray:
-    """A fresh float64 array from a payload leaf: a copy of an array, or the
-    decoding of a {"shape", "hex"} dict read back from a saved file.
-
+    Any other leaf raises ValueError, since it comes from a damaged or
+    foreign file; extra keys are ignored, and non-finite values raise.
     Decoding straight into the model's array, rather than decoding a whole
     file first and copying it, keeps a load to one allocation per array.
     """
-    if isinstance(leaf, dict):
-        return decode_floats(leaf)
-    return np.array(leaf, dtype=np.float64)
+    if not (isinstance(leaf, dict) and isinstance(leaf.get("shape"), list)
+            and isinstance(leaf.get("hex"), list)):
+        raise ValueError(f"expected a saved array {{shape, hex}}, got {type(leaf).__name__}")
+    hexes = leaf["hex"]
+    try:
+        vals = np.fromiter(map(float.fromhex, hexes), np.float64, count=len(hexes))
+        vals = vals.reshape(tuple(leaf["shape"]))
+    except TypeError as err:  # a number where a string belongs, or the reverse
+        raise ValueError(f"malformed saved array: {err}") from None
+    check_finite("decoded array", vals)
+    return vals
 
 
 def map_arrays(obj: Any, fn: Callable, sort_keys: bool = False) -> Any:

@@ -8,19 +8,28 @@ paths the library uses, but nothing in the library needs them. The
 simulation references (reference_pool, sir_trajectory_summary,
 oup_summary) are the per-record and per-row loops and the scalar lag-1
 correlation that the batched pool and the row-wise summaries must
-reproduce bit for bit. hex_encoded is the per-value float.hex reference
-that saved model files must match byte for byte.
+reproduce bit for bit; sir_reference_paths is the per-path S, I and R
+Euler loop that the two-compartment SIR paths must match bit for bit.
+hex_encoded is the per-value float.hex reference that saved model files
+must match byte for byte, and saved_form reads a payload back as a saved
+file holds it.
 """
+
+import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+from mdsum import simulators
 from mdsum.inference import (AnalyticGaussianEngine, DecoderEmbedding, HoldoutRecords,
                              MdnEngine, PosteriorEngine, mdn_parameters)
 from mdsum.kernels import FeatureMap
 from mdsum.nn import Mlp, backward_from_output_grad, forward_batch, mlp_init, mse_loss_grad
 from mdsum.simulators import (_sir_paths, gaussian_posterior, gaussian_task,
                               simulate_oup_trajectories)
-from mdsum.util import NumericalError, derive_rng
+from mdsum.util import NumericalError, derive_rng, save_payload
 
 
 def closed_form_embedding(fm, s, n_obs):
@@ -41,6 +50,16 @@ def hex_encoded(a) -> dict:
     string of each value in C order, one Python call per value."""
     a = np.asarray(a, dtype=np.float64)
     return {"shape": list(a.shape), "hex": [float.hex(v) for v in a.ravel().tolist()]}
+
+
+def saved_form(payload):
+    """A payload as a model file holds it: written by save_payload and read
+    back with json.load."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "payload.json"
+        save_payload(payload, path)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -139,9 +158,39 @@ def posterior_kl_analytic(engine_a: PosteriorEngine, engine_b: PosteriorEngine,
 # simulation references
 # ---------------------------------------------------------------------------
 
-def simulate_sir_trajectories(theta, n_traj, horizon, rng, return_compartments=False):
+def simulate_sir_trajectories(theta, n_traj, horizon, rng):
     """n_traj SIR paths from one parameter, noise drawn step-major."""
-    return _sir_paths(theta, rng.standard_normal((horizon, n_traj)), return_compartments)
+    return _sir_paths(theta, rng.standard_normal((horizon, n_traj)))
+
+
+def sir_reference_paths(theta, noise):
+    """(counts, pre-clip S + I + R) of the SIR Euler loop, one path at a
+    time in Python floats, tracking the recovered compartment R as well.
+
+    Each step takes _sir_paths's operations in its order, so the counts
+    match it bit for bit; the totals are S + I + R of every step before
+    the clip to [0, 1]. theta is (2,) or (n_traj, 2); noise is
+    (horizon, n_traj). The SIR_* constants are read at call time.
+    """
+    horizon, n_traj = noise.shape
+    thetas = np.broadcast_to(np.asarray(theta, dtype=np.float64), (n_traj, 2)).tolist()
+    sigma, eta, dt = simulators.SIR_SIGMA, simulators.SIR_ETA, simulators.SIR_DT
+    counts = np.empty((n_traj, horizon))
+    totals = np.empty((n_traj, horizon))
+    for p, (beta, gamma) in enumerate(thetas):
+        r0_bar = beta / gamma if gamma != 0.0 else 0.0
+        s, i = simulators.SIR_INIT
+        r, r0 = 0.0, r0_bar
+        for t, z in enumerate(noise[:, p].tolist()):
+            flow_si = gamma * r0 * s * i * dt
+            flow_ir = gamma * i * dt
+            r0 = abs(r0 + eta * (r0_bar - r0) * dt
+                     + sigma * math.sqrt(abs(r0)) * math.sqrt(dt) * z)
+            s, i, r = s - flow_si, i + flow_si - flow_ir, r + flow_ir
+            totals[p, t] = s + i + r
+            s, i, r = (min(max(v, 0.0), 1.0) for v in (s, i, r))
+            counts[p, t] = simulators.SIR_POPULATION * i
+    return counts, totals
 
 
 def lag1_corr(a, b) -> float:

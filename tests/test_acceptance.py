@@ -25,6 +25,7 @@ from scipy.optimize import minimize
 from scipy.stats import binom
 from helpers import closed_form_embedding, mlp_backward, posterior_kl_analytic, posterior_moments
 
+from mdsum import optimize
 from mdsum.adaptation import adapt, detect
 from mdsum.contamination import ContaminationSpec, apply_contamination
 from mdsum.harness import (ARTIFACT_VERSION, config_from_dict, read_results_csv,
@@ -33,7 +34,7 @@ from mdsum.inference import decoder_hash, decoder_load, engine_hash, engine_load
 from mdsum.kernels import (build_feature_map, mean_embedding, median_heuristic,
                            mmd2_exact, mmd2_rff)
 from mdsum.nn import mlp_init
-from mdsum.optimize import ObjectiveEval, OptimOptions, lbfgs_minimize
+from mdsum.optimize import ObjectiveEval, lbfgs_minimize
 from mdsum.simulators import build_training_pool, gaussian_posterior, make_task
 from mdsum.util import derive_rng
 
@@ -175,9 +176,10 @@ def test_criterion_02_gradient_correctness():
     crit.done()
 
 
-def test_criterion_03_optimizer_correctness():
+def test_criterion_03_optimizer_correctness(monkeypatch):
     crit = Criterion(3, "l-bfgs solves quadratics fast and rosenbrock exactly",
                      budget_s=5.0)
+    monkeypatch.setattr(optimize, "GRAD_TOL", 1e-8)
     for trial in range(20):
         rng = derive_rng(MASTER_SEED, "acceptance-quad", trial)
         dim = int(rng.integers(2, 8))
@@ -189,8 +191,7 @@ def test_criterion_03_optimizer_correctness():
             d = x - center
             return ObjectiveEval(0.5 * float(d @ hess @ d), hess @ d)
 
-        x, iters, conv = lbfgs_minimize(objective, np.zeros(dim),
-                                        OptimOptions(grad_tol=1e-8))
+        x, iters, conv = lbfgs_minimize(objective, np.zeros(dim))
         grad_norm = float(np.linalg.norm(hess @ (x - center)))
         crit.check(f"quadratic {trial} (dim {dim}): grad {grad_norm:.2g} <= 1e-8 "
                    f"in {iters} <= {dim + 2} iterations",
@@ -202,8 +203,9 @@ def test_criterion_03_optimizer_correctness():
         grad = np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
         return ObjectiveEval(val, grad)
 
-    x, _iters, conv = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]),
-                                     OptimOptions(max_iters=100, grad_tol=1e-10))
+    monkeypatch.setattr(optimize, "MAX_ITERS", 100)
+    monkeypatch.setattr(optimize, "GRAD_TOL", 1e-10)
+    x, _iters, conv = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]))
     off = float(np.max(np.abs(x - 1.0)))
     crit.check(f"rosenbrock minimum within {off:.2g} <= 1e-5 of (1, 1)",
                conv and off <= 1e-5)

@@ -12,17 +12,18 @@ from mdsum.adaptation import (
     adapt,
     calibrate_threshold,
     detect,
-    minimize_embedding_distance,
 )
 from mdsum.inference import (
     DecoderEmbedding,
     HoldoutRecords,
     decoder_embed,
+    decoder_objective,
     standardize,
     train_decoder,
 )
 from mdsum.kernels import build_feature_map, mean_embedding, median_heuristic
 from mdsum.nn import forward_batch, mlp_init
+from mdsum.optimize import lbfgs_minimize
 from mdsum.simulators import build_training_pool, gaussian_task
 from mdsum.util import NumericalError, derive_rng
 
@@ -132,8 +133,8 @@ def test_minimize_matches_grid_search(calibrated_decoder):
     s_true = np.array([0.3, -0.4])
     target = closed_form_embedding(dec.feature_map, s_true, N_OBS)
 
-    s_star, _, converged = minimize_embedding_distance(
-        dec, target, np.array([1.2, 0.6]))
+    s_star, _, converged = lbfgs_minimize(
+        decoder_objective(dec, target), _optimizer_start(dec, np.array([1.2, 0.6])))
     assert converged
 
     ax = np.linspace(-0.7, 1.3, 101)
@@ -252,8 +253,8 @@ def test_adapt_falls_back_when_optimizer_cannot_improve(calibrated_decoder, monk
     task, dec = calibrated_decoder
     data = contaminated_dataset(np.zeros(2), derive_rng(26, "fallback"))
     stand_ins = {
-        "start": lambda objective, x0, opts=None: (np.array(x0, dtype=np.float64), 3, True),
-        "nan": lambda objective, x0, opts=None: (np.full(len(x0), np.nan), 3, True),
+        "start": lambda objective, x0: (np.array(x0, dtype=np.float64), 3, True),
+        "nan": lambda objective, x0: (np.full(len(x0), np.nan), 3, True),
     }
     for name, optimizer in stand_ins.items():
         monkeypatch.setattr("mdsum.adaptation.lbfgs_minimize", optimizer)

@@ -3,11 +3,12 @@ import shutil
 
 import numpy as np
 import pytest
+from helpers import fixed_decoder
 
 from mdsum.adaptation import adapt
 from mdsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from mdsum.harness import config_from_dict, config_hash
-from mdsum.inference import decoder_load
+from mdsum.inference import decoder_load, decoder_save
 from mdsum.util import derive_rng
 
 TINY = {
@@ -162,6 +163,31 @@ def test_adapt_on_a_misshapen_model_exits_2(bench_run, tmp_path, capsys):
     np.save(path, derive_rng(70, "misshapen").standard_normal((12, 2)))
     assert main(["adapt", "--model", str(model), "--data", str(path)]) == EXIT_CONFIG
     assert "has shape (1,)" in capsys.readouterr().err
+
+
+MODEL_FILE_EDITS = {
+    # a task of 3-wide rows and summaries over 2-wide models: adapt would
+    # fail only at its first query
+    "task_width": lambda saved: saved["task"]["params"].update(d=3),
+    # an array as a plain JSON list rather than its saved {shape, hex} form
+    "plain_list": lambda saved: saved.update(summary_mean=[0.5, -1.0]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MODEL_FILE_EDITS))
+def test_adapt_on_a_model_file_that_disagrees_with_itself_exits_2(tmp_path, capsys, edit):
+    dec, holdout = fixed_decoder()
+    model = tmp_path / "decoder.json"
+    decoder_save(dec, model, holdout)
+    saved = json.loads(model.read_text(encoding="utf-8"))
+    MODEL_FILE_EDITS[edit](saved)
+    model.write_text(json.dumps(saved), encoding="utf-8")
+    with pytest.raises(ValueError):
+        decoder_load(model)
+    path = tmp_path / "obs.npy"
+    np.save(path, derive_rng(70, "disagreeing").standard_normal((20, 2)))
+    assert main(["adapt", "--model", str(model), "--data", str(path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["simulate", "train"])

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 from helpers import (closed_form_embedding, fd_gradient, fixed_decoder, hex_encoded,
-                     mdn_log_prob, posterior_kl_analytic, posterior_moments)
+                     mdn_log_prob, posterior_kl_analytic, posterior_moments, saved_form)
 from scipy.special import logsumexp
 from scipy.stats import norm
 
@@ -394,8 +394,7 @@ def test_decoder_hash_tracks_threshold(trained_decoder):
     dec2 = copy.copy(dec)
     dec2.threshold = 0.125
     assert decoder_hash(dec2) != base
-    payload = decoder_to_payload(dec2)
-    rebuilt, _ = decoder_from_payload(payload)
+    rebuilt, _ = decoder_from_payload(saved_form(decoder_to_payload(dec2)))
     assert rebuilt.threshold == 0.125
     # a rebuilt model never aliases its source
     for a, b in [(rebuilt.summary_mean, dec2.summary_mean),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import mlp_backward
+from helpers import mlp_backward, saved_form
 
 from mdsum import nn
 from mdsum.nn import (Mlp, adam_init, adam_step, fit_mlp, forward_batch, mlp_forward,
@@ -319,12 +319,12 @@ def test_payload_rejects_other_activations_and_mismatched_arrays(edit):
     payload = mlp_to_payload(mlp_init([4, 7, 3], np.random.default_rng(21)))
     edit(payload)
     with pytest.raises(ValueError):
-        mlp_from_payload(payload)
+        mlp_from_payload(saved_form(payload))
 
 
 def test_payload_round_trip_is_value_exact():
     mlp = mlp_init([4, 7, 3], np.random.default_rng(21))
-    clone = mlp_from_payload(mlp_to_payload(mlp))
+    clone = mlp_from_payload(saved_form(mlp_to_payload(mlp)))
     assert clone.layer_dims == mlp.layer_dims
     for a, b in zip(mlp.weights + mlp.biases, clone.weights + clone.biases):
         assert np.array_equal(a, b)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mdsum.optimize import ObjectiveEval, OptimOptions, lbfgs_minimize
+from mdsum import optimize
+from mdsum.optimize import ObjectiveEval, lbfgs_minimize
 from mdsum.util import derive_rng
 
 
@@ -46,32 +47,34 @@ def counting(obj):
 # L-BFGS
 # ---------------------------------------------------------------------------
 
-def test_lbfgs_simple_quadratic_three_iterations():
-    opts = OptimOptions(grad_tol=1e-8)
-    x, iters, converged = lbfgs_minimize(quadratic([1.0, 2.0]), np.zeros(2), opts)
+def test_lbfgs_simple_quadratic_three_iterations(monkeypatch):
+    monkeypatch.setattr(optimize, "GRAD_TOL", 1e-8)
+    x, iters, converged = lbfgs_minimize(quadratic([1.0, 2.0]), np.zeros(2))
     assert converged and iters <= 3
     assert np.allclose(x, [1.0, 2.0], atol=1e-8)
 
 
-def test_lbfgs_random_spd_quadratics_finite_termination():
+def test_lbfgs_random_spd_quadratics_finite_termination(monkeypatch):
     # on a dim-n quadratic the Wolfe search locates exact line minima, so
     # convergence must arrive within dim + 2 iterations
+    monkeypatch.setattr(optimize, "GRAD_TOL", 1e-8)
+    monkeypatch.setattr(optimize, "MAX_ITERS", 200)
     for trial in range(20):
         rng = derive_rng(30, "quad", trial)
         dim = int(rng.integers(2, 8))
         m = rng.standard_normal((dim, dim))
         a = m @ m.T + 0.1 * np.eye(dim)
         c = rng.standard_normal(dim)
-        opts = OptimOptions(grad_tol=1e-8, max_iters=200)
-        x, iters, converged = lbfgs_minimize(spd_quadratic(a, c), rng.standard_normal(dim), opts)
+        x, iters, converged = lbfgs_minimize(spd_quadratic(a, c), rng.standard_normal(dim))
         assert converged, f"trial {trial} did not converge"
         assert iters <= dim + 2, f"trial {trial}: {iters} iters for dim {dim}"
         assert np.allclose(x, c, atol=1e-6)
 
 
-def test_lbfgs_rosenbrock():
-    x, iters, converged = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]),
-                                         OptimOptions(grad_tol=1e-8, max_iters=100))
+def test_lbfgs_rosenbrock(monkeypatch):
+    monkeypatch.setattr(optimize, "GRAD_TOL", 1e-8)
+    monkeypatch.setattr(optimize, "MAX_ITERS", 100)
+    x, iters, converged = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]))
     assert converged and iters <= 100
     assert np.allclose(x, [1.0, 1.0], atol=1e-5)
 
@@ -84,7 +87,9 @@ def test_lbfgs_zero_gradient_start():
     assert np.array_equal(x, [0.5, -0.5])
 
 
-def test_lbfgs_never_increases_from_start():
+def test_lbfgs_never_increases_from_start(monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_ITERS", 5)
+    monkeypatch.setattr(optimize, "GRAD_TOL", 1e-14)
     for trial in range(20):
         rng = derive_rng(31, "mono", trial)
         a = rng.standard_normal((4, 4))
@@ -92,7 +97,7 @@ def test_lbfgs_never_increases_from_start():
         c = rng.standard_normal(4)
         obj = spd_quadratic(spd, c)
         x0 = 3.0 * rng.standard_normal(4)
-        x, _, _ = lbfgs_minimize(obj, x0, OptimOptions(max_iters=5, grad_tol=1e-14))
+        x, _, _ = lbfgs_minimize(obj, x0)
         assert obj(x).value <= obj(x0).value
 
 
@@ -104,12 +109,12 @@ def test_lbfgs_translation_equivariance():
     shift = rng.standard_normal(3)
     x0 = rng.standard_normal(3)
 
-    base, iters_base, _ = lbfgs_minimize(spd_quadratic(spd, c), x0, OptimOptions())
+    base, iters_base, _ = lbfgs_minimize(spd_quadratic(spd, c), x0)
 
     def shifted(x):
         return spd_quadratic(spd, c)(x - shift)
 
-    moved, iters_moved, _ = lbfgs_minimize(shifted, x0 + shift, OptimOptions())
+    moved, iters_moved, _ = lbfgs_minimize(shifted, x0 + shift)
     assert iters_base == iters_moved
     assert np.allclose(moved, base + shift, rtol=0.0, atol=1e-12)
 
@@ -130,7 +135,7 @@ def test_lbfgs_non_finite_midway_returns_best():
         d = x - np.array([1.0, 1.0])
         return ObjectiveEval(value=float(d @ d), gradient=2.0 * d)
 
-    x, _, converged = lbfgs_minimize(fragile, np.array([2.0, 2.0]), OptimOptions())
+    x, _, converged = lbfgs_minimize(fragile, np.array([2.0, 2.0]))
     assert converged
     assert np.allclose(x, [1.0, 1.0], atol=1e-7)
 
@@ -140,7 +145,10 @@ def test_lbfgs_rejects_matrix_start():
         lbfgs_minimize(quadratic([0.0]), np.zeros((2, 2)))
 
 
-def test_lbfgs_is_deterministic():
+def test_lbfgs_is_deterministic(monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_ITERS", 30)
+    monkeypatch.setattr(optimize, "GRAD_TOL", 1e-14)
+
     def run():
         xs = []
 
@@ -148,15 +156,7 @@ def test_lbfgs_is_deterministic():
             xs.append(x.copy())
             return rosenbrock(x)
 
-        lbfgs_minimize(recording, np.array([-1.2, 1.0]), OptimOptions(max_iters=30,
-                                                                      grad_tol=1e-14))
+        lbfgs_minimize(recording, np.array([-1.2, 1.0]))
         return np.vstack(xs)
 
     assert np.array_equal(run(), run())
-
-
-def test_optim_options_validation():
-    with pytest.raises(ValueError):
-        lbfgs_minimize(quadratic([0.0]), np.zeros(1), OptimOptions(max_iters=0))
-    with pytest.raises(ValueError):
-        lbfgs_minimize(quadratic([0.0]), np.zeros(1), OptimOptions(grad_tol=0.0))

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from helpers import (oup_summary, reference_dataset, reference_pool,
-                     simulate_sir_trajectories, sir_trajectory_summary)
+                     simulate_sir_trajectories, sir_reference_paths, sir_trajectory_summary)
 from mdsum import simulators
 from mdsum.contamination import contaminate_sir
 from mdsum.harness import build_task, config_from_dict
@@ -205,13 +205,16 @@ def test_oup_task_validation():
 # ---------------------------------------------------------------------------
 
 def test_sir_noise_free_conserves_population(monkeypatch):
+    # _sir_paths leaves R implicit; the reference loop tracks it, gives the
+    # same counts, and keeps S + I + R at 1 before every clip
     monkeypatch.setattr(simulators, "SIR_SIGMA", 0.0)
     monkeypatch.setattr(simulators, "SIR_ETA", 0.0)
-    theta = np.array([0.4, 0.1])
-    out, (s, i, r), pre_clip = simulate_sir_trajectories(
-        theta, n_traj=2, horizon=200, rng=StubNormals(0.0), return_compartments=True)
+    theta = np.array([[0.4, 0.1], [0.3, 0.2], [0.45, 0.05], [0.2, 0.0]])
+    noise = np.zeros((200, 4))
+    counts, pre_clip = sir_reference_paths(theta, noise)
+    out = _sir_paths(theta, noise)
+    assert out.tobytes() == counts.tobytes()
     assert np.allclose(pre_clip, 1.0, rtol=0.0, atol=1e-12)
-    assert np.allclose(s + i + r, 1.0, rtol=0.0, atol=1e-12)
     assert np.all(out >= 0.0) and np.all(out <= SIR_POPULATION)
 
 
@@ -254,13 +257,18 @@ def test_sir_support_check_and_prior():
                   & (draws[:, 0] < SIR_RATE_MAX))
 
 
-def test_sir_paths_output_does_not_depend_on_return_compartments():
-    thetas = np.array([[0.4, 0.1], [0.3, 0.2], [0.45, 0.05]])
-    noise = derive_rng(43, "compartments").standard_normal((120, 3))
-    out = _sir_paths(thetas, noise)
-    with_compartments, _, pre_clip = _sir_paths(thetas, noise, return_compartments=True)
-    assert out.tobytes() == with_compartments.tobytes()
-    assert pre_clip.shape == (3, 120)
+def test_sir_paths_match_the_three_compartment_reference():
+    # per-path thetas (one with gamma = 0), one shared theta, and noise
+    # large enough that the clip to [0, 1] moves S + I + R off 1; the
+    # noise-free case is test_sir_noise_free_conserves_population's
+    thetas = np.array([[0.4, 0.1], [0.3, 0.2], [0.45, 0.05], [0.2, 0.0]])
+    noise = derive_rng(43, "sir-reference").standard_normal((365, 4))
+    cases = [(thetas, noise), (np.array([0.35, 0.15]), noise[:120, :3]),
+             (thetas, 40.0 * noise)]
+    for theta, z in cases:
+        counts, _ = sir_reference_paths(theta, z)
+        assert _sir_paths(theta, z).tobytes() == counts.tobytes()
+    assert np.abs(sir_reference_paths(thetas, 40.0 * noise)[1] - 1.0).max() > 1e-3
 
 
 def test_oup_summary_matches_the_scalar_reference():

@@ -104,6 +104,16 @@ def test_decode_floats_refuses_non_finite():
             decode_floats({"shape": [2], "hex": [(1.0).hex(), bad]})
 
 
+def test_decode_floats_refuses_any_other_leaf():
+    # only the saved {shape, hex} form reads: a leaf of another form comes
+    # from a damaged or foreign file
+    for leaf in ([0.5, -1.0], np.ones(2), 1.0, None, {"hex": ["0x1.0p+0"]},
+                 {"shape": [1], "values": [1.0]}, {"shape": [1], "hex": [1.0]},
+                 {"shape": ["1"], "hex": ["0x1.0p+0"]}, {"shape": [3], "hex": ["0x1.0p+0"]}):
+        with pytest.raises(ValueError):
+            decode_floats(leaf)
+
+
 def test_canonical_json_ignores_key_order():
     a = canonical_json({"b": 1, "a": [2, {"y": 0, "x": 1}]})
     b = canonical_json({"a": [2, {"x": 1, "y": 0}], "b": 1})
