@@ -39,7 +39,8 @@ from .inference import (AnalyticGaussianEngine, decoder_hash, decoder_load, deco
                         engine_hash, engine_load, engine_save, posterior_sample,
                         train_decoder, train_mdn)
 from .kernels import build_feature_map, mean_embedding, median_heuristic
-from .metrics import coverage, predictive_mmd, rmse, sample_mmd, summary_oracle_distance
+from .metrics import coverage, predictive_mmd, reference_mmds, rmse, summary_oracle_distance
+from .metrics import sample_mmd  # noqa: F401  (perfbench/tracing.py patches sample_mmd here)
 from .nn import BATCH_SIZE, LEARNING_RATE
 from .simulators import TASKS, build_training_pool, load_pool, make_task, save_pool
 from .util import NumericalError, canonical_json, derive_rng, replacing, sha256_hex
@@ -52,7 +53,7 @@ MDN_COMPONENTS = 5
 # Raise whenever code changes what any stage writes or what the results CSV
 # holds: every cache key folds it in, so no file from older code is served.
 # Files under old keys stay where they are; delete the directory to clear them.
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 _METHODS = ("npe_plain", "npe_mds")
 _COUNTS = ("d", "obs_dim", "n_obs", "horizon", "n_train", "n_features", "max_epochs",
@@ -120,6 +121,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         value = getattr(cfg, name)
         if value is not None and not (_is_int(value) and value >= 1):
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if cfg.n_obs < 2:
+        raise ValueError(f"n_obs must be >= 2 (the clean dataset is the predictive_mmd "
+                         f"kernel's reference), got {cfg.n_obs}")
     if cfg.n_predictive < 2:
         raise ValueError(f"n_predictive must be >= 2 (predictive_mmd compares replicates), "
                          f"got {cfg.n_predictive}")
@@ -300,21 +304,27 @@ def _eval_item(item):
         ref_samples = posterior_sample(engine, s_oracle, cfg.n_posterior_samples,
                                        derive_rng(seed, "reference", cell_idx, j))
 
-    lines = []
+    # each method draws its samples from its own stream, then both methods
+    # are scored in one call against each reference
+    queries, sample_sets = [], []
     for method in cfg.methods:
-        if method == "npe_plain":
-            s_query = s_tilde
-        else:
-            result = adapt(dec, observed, gate=cfg.gate)
-            s_query = result.s_star
-        samples = posterior_sample(engine, s_query, cfg.n_posterior_samples,
-                                   derive_rng(seed, "posterior", cell_idx, j, method))
+        s_query = s_tilde if method == "npe_plain" else adapt(dec, observed, gate=cfg.gate).s_star
+        queries.append(s_query)
+        sample_sets.append(posterior_sample(engine, s_query, cfg.n_posterior_samples,
+                                            derive_rng(seed, "posterior", cell_idx, j, method)))
+    if ref_samples is None:
+        post_mmds = [""] * len(cfg.methods)
+    else:
+        post_mmds = [_format_float(m) for m in reference_mmds(sample_sets, ref_samples)]
+    pred_mmds = predictive_mmd(task, sample_sets, clean, cfg.n_predictive,
+                               [derive_rng(seed, "predictive", cell_idx, j, method)
+                                for method in cfg.methods])
 
+    lines = []
+    for method, s_query, samples, row_pmmd, row_pred in zip(cfg.methods, queries, sample_sets,
+                                                           post_mmds, pred_mmds):
         row_rmse = rmse(samples, theta_star)
         row_cov = coverage(samples, theta_star, alpha=cfg.coverage_alpha)
-        row_pmmd = "" if ref_samples is None else _format_float(sample_mmd(samples, ref_samples))
-        row_pred = predictive_mmd(task, samples, clean, cfg.n_predictive,
-                                  derive_rng(seed, "predictive", cell_idx, j, method))
         row_dist = summary_oracle_distance(s_query, s_oracle)
         lines.append(",".join([
             task.name, method, _format_float(cell["eps"]), _format_float(cell["delta"]),

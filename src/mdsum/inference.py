@@ -30,7 +30,7 @@ from .kernels import FeatureMap, feature_map_from_payload, feature_map_to_payloa
 from .nn import Mlp, fit_mlp, mlp_forward, mlp_from_payload, mlp_init, mlp_to_payload, mlp_vjp
 from .optimize import ObjectiveEval
 from .simulators import TaskSpec, TrainingPool, gaussian_posterior, make_task
-from .util import check_shape, decode_floats, payload_hash, save_payload
+from .util import check_shape, decode_floats, payload_hash, reads_payload, save_payload
 
 _CHUNK_ELEMS = 2 ** 20  # cap on rows * K per feature chunk: one 8 MB float64 block
 _STD_FLOOR = 1e-12
@@ -298,6 +298,7 @@ def _input_array(payload: dict, key: str, mlp: Mlp) -> np.ndarray:
     return check_shape(key, decode_floats(payload[key]), (mlp.layer_dims[0],))
 
 
+@reads_payload
 def decoder_from_payload(payload: dict):
     """Rebuild (decoder, holdout or None) from a saved payload.
 
@@ -363,6 +364,7 @@ def engine_to_payload(engine: PosteriorEngine) -> dict:
     raise TypeError(f"unknown engine type {type(engine).__name__}")
 
 
+@reads_payload
 def engine_from_payload(payload: dict) -> PosteriorEngine:
     """Rebuild an engine from a saved payload; every array is decoded afresh
     (util.decode_floats), and its shape must agree with the engine's

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .util import as_2d_f64, check_finite, check_shape, decode_floats
+from .util import as_2d_f64, check_finite, check_shape, decode_floats, reads_payload
 
 BANDWIDTH_FLOOR = 1e-8
 # distinct pairs above which median_heuristic takes a sample of this many
@@ -213,26 +213,43 @@ def _kernel_mean(gamma: float, a: np.ndarray, b: np.ndarray) -> float:
     return k.mean()
 
 
-def mmd2_exact(bandwidth: float, xs, ys) -> float:
-    """Biased (V-statistic) MMD^2 under the exact RBF kernel.
+def _self_mean(gamma: float, x: np.ndarray) -> float:
+    """_kernel_mean(gamma, x, x) from one triangle: the n diagonal entries
+    are exp(0) = 1, and each distinct pair appears twice."""
+    n = x.shape[0]
+    k = pdist(x, metric="sqeuclidean")
+    k *= -gamma
+    np.exp(k, out=k)
+    return (n + 2.0 * k.sum()) / (n * n)
 
-    Always >= -1e-12 up to roundoff. Swapping xs and ys gives the same
-    value up to its last bits only: the cross term then averages the
-    transposed kernel matrix, whose sum runs in another order.
+
+def mmd2_exact_many(bandwidth: float, sample_sets, reference) -> list[float]:
+    """Biased (V-statistic) MMD^2 of each sample set to one reference under
+    the exact RBF kernel; the reference's self-term is computed once.
+
+    Each value is >= -1e-12 up to roundoff. A set and the reference are
+    not interchangeable in the last bits: the cross term averages the
+    (set, reference) kernel matrix, whose transpose sums in another order.
     """
     if not (bandwidth > 0.0 and np.isfinite(bandwidth)):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    x = as_2d_f64("xs", xs)
-    y = as_2d_f64("ys", ys)
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    check_finite("xs", x)
-    check_finite("ys", y)
+    y = as_2d_f64("reference", reference)
+    check_finite("reference", y)
     gamma = 1.0 / (2.0 * bandwidth * bandwidth)
-    kxx = _kernel_mean(gamma, x, x)
-    kyy = _kernel_mean(gamma, y, y)
-    kxy = _kernel_mean(gamma, x, y)
-    return float(kxx + kyy - 2.0 * kxy)
+    kyy = _self_mean(gamma, y)
+    out = []
+    for xs in sample_sets:
+        x = as_2d_f64("sample set", xs)
+        if x.shape[1] != y.shape[1]:
+            raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+        check_finite("sample set", x)
+        out.append(float(_self_mean(gamma, x) + kyy - 2.0 * _kernel_mean(gamma, x, y)))
+    return out
+
+
+def mmd2_exact(bandwidth: float, xs, ys) -> float:
+    """mmd2_exact_many for the one set xs against ys."""
+    return mmd2_exact_many(bandwidth, [xs], ys)[0]
 
 
 def feature_map_to_payload(fm: FeatureMap) -> dict:
@@ -246,6 +263,7 @@ def feature_map_to_payload(fm: FeatureMap) -> dict:
     }
 
 
+@reads_payload
 def feature_map_from_payload(payload: dict) -> FeatureMap:
     if payload.get("kind") != "feature_map":
         raise ValueError(f"not a feature map payload: kind={payload.get('kind')!r}")

@@ -1,17 +1,17 @@
 """Evaluation metrics for posterior queries.
 
 All metrics are deterministic given their inputs (and an explicit rng where
-sampling is involved). Each sample_mmd call takes its median-heuristic
-bandwidth from its own pooled inputs, so the MMDs of two methods against
-one reference are taken under two different kernels and are not strictly
-comparable: a difference between them mixes the methods with the kernels.
+sampling is involved). reference_mmds scores every sample set of one item
+under one kernel, whose median-heuristic bandwidth comes from the reference
+set alone, so the MMDs of two methods against one reference differ only
+through the methods' samples.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import median_heuristic, mmd2_exact
+from .kernels import median_heuristic, mmd2_exact, mmd2_exact_many
 from .simulators import TaskSpec, make_task  # noqa: F401  (perfbench/tracing.py patches make_task here)
 from .util import as_2d_f64
 
@@ -59,21 +59,37 @@ def sample_mmd(samples_a, samples_b) -> float:
     return float(np.sqrt(max(mmd2_exact(bandwidth, a, b), 0.0)))
 
 
-def predictive_mmd(task: TaskSpec, posterior_samples, clean_data, n_rep: int,
-                   rng: np.random.Generator) -> float:
-    """Posterior predictive check: MMD between simulated and clean rows.
+def reference_mmds(sample_sets, reference) -> list[float]:
+    """MMD (square root of the biased estimate) of each set to a reference.
 
-    n_rep parameters are resampled from the posterior draws, then one
-    batched task.simulate_raw call produces one observation row per
-    parameter, drawing its noise row by row. Support checks are skipped,
-    since posterior draws may fall outside the prior box.
+    The RBF bandwidth is the median heuristic on the reference rows alone
+    (sampled over kernels.MAX_PAIRS pairs when there are more), so every
+    set is scored under the same kernel, and a set's value does not depend
+    on the other sets.
+    """
+    ref = as_2d_f64("reference", reference)
+    bandwidth = median_heuristic(ref)
+    return [float(np.sqrt(max(m, 0.0))) for m in mmd2_exact_many(bandwidth, sample_sets, ref)]
+
+
+def predictive_mmd(task: TaskSpec, posterior_sets, clean_data, n_rep: int, rngs) -> list[float]:
+    """Posterior predictive check: MMD between simulated and clean rows,
+    one value per (posterior samples, rng) pair.
+
+    For each pair, n_rep parameters are resampled from the posterior draws
+    on that rng, then one batched task.simulate_raw call on it produces one
+    observation row per parameter, drawing its noise row by row. Support
+    checks are skipped, since posterior draws may fall outside the prior
+    box. All sets are scored by reference_mmds against the clean rows.
     """
     if n_rep < 2:
         raise ValueError(f"n_rep must be >= 2, got {n_rep}")
-    thetas = as_2d_f64("posterior_samples", posterior_samples)
-    clean = as_2d_f64("clean_data", clean_data)
-    idx = rng.choice(thetas.shape[0], size=n_rep, replace=True)
-    return sample_mmd(task.simulate_raw(thetas[idx], rng), clean)
+    simulated = []
+    for samples, rng in zip(posterior_sets, rngs, strict=True):
+        thetas = as_2d_f64("posterior_samples", samples)
+        idx = rng.choice(thetas.shape[0], size=n_rep, replace=True)
+        simulated.append(task.simulate_raw(thetas[idx], rng))
+    return reference_mmds(simulated, clean_data)
 
 
 def summary_oracle_distance(s_star, s_oracle) -> float:

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .util import NumericalError, check_shape, decode_floats
+from .util import NumericalError, check_shape, decode_floats, reads_payload
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -264,6 +264,7 @@ def mlp_to_payload(mlp: Mlp) -> dict:
     }
 
 
+@reads_payload
 def mlp_from_payload(payload: dict) -> Mlp:
     """Rebuild a network, checking every array against layer_dims."""
     if payload.get("kind") != "mlp":

@@ -13,6 +13,7 @@ once complete (replacing), so a failed save leaves no partial file behind.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -154,6 +155,19 @@ def decode_floats(leaf: Any) -> np.ndarray:
         raise ValueError(f"malformed saved array: {err}") from None
     check_finite("decoded array", vals)
     return vals
+
+
+def reads_payload(reader: Callable) -> Callable:
+    """Wrap a model-payload reader so that a key the payload lacks raises
+    ValueError naming it, not KeyError."""
+    @functools.wraps(reader)
+    def wrapper(payload):
+        try:
+            return reader(payload)
+        except KeyError as err:
+            raise ValueError(f"{reader.__name__}: the payload has no key "
+                             f"{err.args[0]!r}") from None
+    return wrapper
 
 
 def map_arrays(obj: Any, fn: Callable, sort_keys: bool = False) -> Any:

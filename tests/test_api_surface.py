@@ -153,6 +153,7 @@ def test_settable_values_stay_under_the_ceiling():
 UNUSED_IMPORT_ALLOWED = {
     "metrics.make_task": "perfbench/tracing.py patches make_task on mdsum.metrics",
     "adaptation.make_task": "perfbench/tracing.py patches make_task on mdsum.adaptation",
+    "harness.sample_mmd": "perfbench/tracing.py patches sample_mmd on mdsum.harness",
 }
 
 

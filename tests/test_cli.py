@@ -190,6 +190,20 @@ def test_adapt_on_a_model_file_that_disagrees_with_itself_exits_2(tmp_path, caps
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["threshold", "task"])
+def test_adapt_on_a_model_file_missing_a_key_exits_2(tmp_path, capsys, key):
+    dec, holdout = fixed_decoder()
+    model = tmp_path / "decoder.json"
+    decoder_save(dec, model, holdout)
+    saved = json.loads(model.read_text(encoding="utf-8"))
+    del saved[key]
+    model.write_text(json.dumps(saved), encoding="utf-8")
+    path = tmp_path / "obs.npy"
+    np.save(path, derive_rng(70, "missing").standard_normal((20, 2)))
+    assert main(["adapt", "--model", str(model), "--data", str(path)]) == EXIT_CONFIG
+    assert f"has no key {key!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cmd", ["simulate", "train"])
 @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--no-gate"], ["--optimizer", "lbfgs"]])
 def test_stage_commands_reject_evaluation_flags(config_path, tmp_path, capsys, cmd, flag):
@@ -286,7 +300,8 @@ def test_contamination_kind_exits_2_before_any_stage(tmp_path, capsys, task, kin
     ({"task": "gaussian", "n_predictive": 1}, "n_predictive must be >= 2"),
     ({"task": "oup", "d": 7}, "d does not apply to task 'oup'"),
     ({"task": "sir", "obs_dim": 9}, "obs_dim does not apply to task 'sir'"),
-], ids=["n_predictive", "oup-d", "sir-obs_dim"])
+    ({"task": "gaussian", "n_obs": 1}, "n_obs must be >= 2"),
+], ids=["n_predictive", "oup-d", "sir-obs_dim", "n_obs"])
 def test_config_that_would_fail_or_retrain_later_exits_2_first(tmp_path, capsys, patch,
                                                                 message):
     p = tmp_path / "bad.json"

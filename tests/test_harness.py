@@ -46,6 +46,8 @@ TINY = {
 ENGINE_KEYS = {
     1: {"gaussian": "68efe92964c39b83", "factor": "8fc960e65139a4e1",
         "oup": "3424d9ff8faf4952", "sir": "7e3e3b4e50b2a39c"},
+    2: {"gaussian": "41397c08c9a58faf", "factor": "1e8dfb875d0e5eb9",
+        "oup": "8ab0c037c9495932", "sir": "ad65b65fc4bcca0a"},
 }
 
 
@@ -340,13 +342,14 @@ _GOLDEN_MDN = {"n_train": 300, "n_features": 16, "max_epochs": 8, "patience": 5,
                "master_seed": 18}
 GOLDEN_CONFIGS = {
     "gaussian": {**TINY, "n_posterior_samples": 1000, "n_test_datasets": 2,
-                 "contamination": [{"eps": 0.2, "delta": 4.0}], "master_seed": 18},
+                 "contamination": [{"eps": 0.2, "delta": 4.0}, {"eps": 0.1, "delta": 10.0}],
+                 "master_seed": 18},
     "oup": {"task": "oup", "n_obs": 10, "horizon": 8, **_GOLDEN_MDN,
-            "contamination": [{"eps": 0.2, "delta": 4.0}]},
+            "contamination": [{"eps": 0.2, "delta": 4.0}, {"eps": 0.5}]},
     "factor": {"task": "factor", "obs_dim": 5, "n_obs": 15, **_GOLDEN_MDN,
-               "contamination": [{"eps": 0.2, "delta": 4.0}]},
+               "contamination": [{"eps": 0.2, "delta": 4.0}, {"eps": 0.1, "delta": 10.0}]},
     "sir": {"task": "sir", "n_obs": 6, "horizon": 365, **_GOLDEN_MDN, "n_train": 200,
-            "contamination": [{"eps": 0.5}]},
+            "contamination": [{"eps": 0.5}, {"eps": 0.2}]},
 }
 # (decoder_hash, engine_hash, then the sha256 of the results CSV, the saved
 # decoder file and the saved engine file) per ARTIFACT_VERSION. Model hashes
@@ -375,6 +378,18 @@ GOLDEN_DIGESTS = {
                 "262465db6b2de9e508e088da60e6116878fea8d71e7e28d02bccdc6fc08d4e34"),
     },
 }
+# Version 2 scores every method of an item under one kernel from the item's
+# reference set, and each golden run gained its second cell (version 1's
+# results digests are of the one-cell runs). No model moved: the model
+# hashes and model-file digests are version 1's, and only the results differ.
+_RESULTS_V2 = {
+    "gaussian": "faf125f3faed6151a0b2b072882d188a030c7ebf3854bf9ec75eb29a705dc466",
+    "oup": "64676af9a5cd4c6ee9b9426e13d5cee949a041834b8732799032149e80b2d1ab",
+    "factor": "569daf93e1e7d8fb672f0b5f2a33c0d941f5ff4e70080644509ba74f6234461f",
+    "sir": "d91c98432cdbf7888acb2b7e293326843c590600f8bd89ab9c10588c1a5f2d7f",
+}
+GOLDEN_DIGESTS[2] = {name: (*digests[:2], _RESULTS_V2[name], *digests[3:])
+                     for name, digests in GOLDEN_DIGESTS[1].items()}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
@@ -397,6 +412,34 @@ def test_pipeline_parallel_rows_match_serial(tiny_run, tmp_path):
     parallel = (tmp_path / manifest_par["artifacts"]["results"]).read_bytes()
     assert parallel == serial
     assert manifest_par["decoder_hash"] == manifest["decoder_hash"]
+
+
+def test_a_methods_scores_do_not_depend_on_the_other_methods_samples(tiny_run, tmp_path,
+                                                                     monkeypatch):
+    # npe_plain's posterior samples come from another stream; every npe_mds
+    # row, its posterior_mmd and predictive_mmd included, keeps its bits
+    cfg, out, manifest = tiny_run
+    for stage in ("pool", "decoder", "engine"):
+        shutil.copy(out / manifest["artifacts"][stage], tmp_path)
+    real_derive_rng = mdsum.harness.derive_rng
+
+    def other_plain_stream(seed, tag, *keys):
+        if tag == "posterior" and keys[-1] == "npe_plain":
+            seed += 1
+        return real_derive_rng(seed, tag, *keys)
+
+    monkeypatch.setattr(mdsum.harness, "derive_rng", other_plain_stream)
+    manifest2 = run_pipeline(cfg, tmp_path, jobs=1)
+    before = (out / manifest["artifacts"]["results"]).read_text().splitlines()[1:]
+    after = (tmp_path / manifest2["artifacts"]["results"]).read_text().splitlines()[1:]
+    assert len(before) == len(after) == 12
+    for old, new in zip(before, after):
+        if ",npe_mds," in old:
+            assert new == old
+        else:
+            old_cols, new_cols = old.split(","), new.split(",")
+            # the plain row's own posterior_mmd and predictive_mmd do move
+            assert old_cols[7] != new_cols[7] and old_cols[8] != new_cols[8]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -655,6 +655,24 @@ def test_engine_load_rejects_arrays_that_disagree_with_its_dimensions(tmp_path, 
         engine_load(tmp_path / "engine.json")
 
 
+MISSING_ENGINE_KEYS = {
+    "variant": lambda saved: saved.pop("variant"),
+    "input_std": lambda saved: saved.pop("input_std"),
+    "weights": lambda saved: saved["mlp"].pop("weights"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MISSING_ENGINE_KEYS))
+def test_engine_load_names_a_key_the_file_lacks(tmp_path, key):
+    path = tmp_path / "engine.json"
+    engine_save(make_mdn_engine(seed=23), path)
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    MISSING_ENGINE_KEYS[key](saved)
+    path.write_text(json.dumps(saved), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"has no key '{key}'"):
+        engine_load(path)
+
+
 def test_saved_files_keep_the_nested_hex_format(tmp_path):
     dec, holdout = fixed_decoder()
     fm = dec.feature_map

@@ -8,8 +8,9 @@ from scipy.spatial.distance import cdist, pdist
 
 from mdsum import kernels
 from mdsum.kernels import (BANDWIDTH_FLOOR, GATHER_BYTES, FeatureMap, _sample_distinct_pairs,
-                           build_feature_map, feature_map_from_payload, feature_map_to_payload,
-                           mean_embedding, median_heuristic, mmd2_exact, mmd2_rff, rff_matrix)
+                           _self_mean, build_feature_map, feature_map_from_payload,
+                           feature_map_to_payload, mean_embedding, median_heuristic, mmd2_exact,
+                           mmd2_rff, rff_matrix)
 from mdsum.util import NumericalError, derive_rng
 
 
@@ -410,7 +411,8 @@ def test_mmd2_exact_separates_distributions():
 
 
 def test_mmd2_exact_matches_three_temporary_formula():
-    # one buffer per kernel mean must not change a bit of the value
+    # one buffer per kernel mean must not change a bit of the value; each
+    # self-term is the diagonal plus twice the sum over one triangle
     for seed in range(10):
         rng = derive_rng(20, "mmd", seed)
         d = int(rng.integers(1, 6))
@@ -418,10 +420,21 @@ def test_mmd2_exact_matches_three_temporary_formula():
         y = rng.standard_normal((int(rng.integers(2, 300)), d)) + 0.5
         ell = float(rng.uniform(0.2, 3.0))
         gamma = 1.0 / (2.0 * ell * ell)
-        kxx = np.exp(-gamma * cdist(x, x, metric="sqeuclidean")).mean()
-        kyy = np.exp(-gamma * cdist(y, y, metric="sqeuclidean")).mean()
+        n_x, n_y = len(x), len(y)
+        kxx = (n_x + 2.0 * np.exp(-gamma * pdist(x, metric="sqeuclidean")).sum()) / (n_x * n_x)
+        kyy = (n_y + 2.0 * np.exp(-gamma * pdist(y, metric="sqeuclidean")).sum()) / (n_y * n_y)
         kxy = np.exp(-gamma * cdist(x, y, metric="sqeuclidean")).mean()
         assert mmd2_exact(ell, x, y) == float(kxx + kyy - 2.0 * kxy)
+
+
+def test_triangle_self_term_matches_the_full_matrix_mean():
+    for seed in range(10):
+        rng = derive_rng(21, "self", seed)
+        x = rng.standard_normal((int(rng.integers(1, 400)), int(rng.integers(1, 6))))
+        gamma = float(rng.uniform(0.05, 5.0))
+        full = np.exp(-gamma * cdist(x, x, metric="sqeuclidean")).mean()
+        assert _self_mean(gamma, x) == pytest.approx(full, rel=1e-13)
+    assert _self_mean(1.0, np.zeros((1, 3))) == 1.0
 
 
 def test_mmd2_exact_symmetry_and_validation():

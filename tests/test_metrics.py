@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 
 from mdsum.kernels import median_heuristic
-from mdsum.metrics import coverage, predictive_mmd, rmse, sample_mmd, summary_oracle_distance
+from mdsum.metrics import (coverage, predictive_mmd, reference_mmds, rmse, sample_mmd,
+                           summary_oracle_distance)
 from mdsum.simulators import gaussian_task
-from mdsum.util import derive_rng
+from mdsum.util import NumericalError, derive_rng
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +123,50 @@ def test_sample_mmd_validation():
 
 
 # ---------------------------------------------------------------------------
+# MMD against one reference
+# ---------------------------------------------------------------------------
+
+def _full_matrix_mmd(x, ref):
+    bandwidth = np.median(pdist(ref))  # the reference's rows alone
+    gamma = 1.0 / (2.0 * bandwidth * bandwidth)
+    kxx = np.exp(-gamma * cdist(x, x, "sqeuclidean")).mean()
+    kyy = np.exp(-gamma * cdist(ref, ref, "sqeuclidean")).mean()
+    kxy = np.exp(-gamma * cdist(x, ref, "sqeuclidean")).mean()
+    return np.sqrt(max(kxx + kyy - 2.0 * kxy, 0.0))
+
+
+def test_reference_mmds_match_a_full_matrix_reference():
+    rng = derive_rng(63, "ref")
+    for d, n_ref in ((1, 50), (2, 1000), (5, 301)):
+        ref = rng.standard_normal((n_ref, d))
+        sets = [rng.standard_normal((n, d)) + shift
+                for n, shift in ((1000, 0.0), (64, 0.4), (300, 2.0))]
+        got = reference_mmds(sets, ref)
+        assert len(got) == len(sets)
+        for value, x in zip(got, sets):
+            assert value == pytest.approx(_full_matrix_mmd(x, ref), rel=1e-12)
+
+
+def test_a_sets_reference_mmd_does_not_depend_on_the_other_sets():
+    rng = derive_rng(63, "alone")
+    ref = rng.standard_normal((200, 2))
+    a, b, other = (rng.standard_normal((150, 2)) + s for s in (0.0, 0.5, 3.0))
+    ab = reference_mmds([a, b], ref)
+    assert reference_mmds([other, b], ref)[1] == ab[1]
+    assert reference_mmds([b], ref) == ab[1:]
+
+
+def test_reference_mmds_validation():
+    ref = np.zeros((5, 2)) + np.arange(5.0)[:, None]
+    with pytest.raises(ValueError):
+        reference_mmds([np.zeros((5, 3))], ref)
+    with pytest.raises(NumericalError):
+        reference_mmds([np.full((5, 2), np.nan)], ref)
+    with pytest.raises(ValueError):
+        reference_mmds([np.zeros((5, 2))], ref[:1])  # one row has no median distance
+
+
+# ---------------------------------------------------------------------------
 # posterior predictive MMD
 # ---------------------------------------------------------------------------
 
@@ -131,8 +177,8 @@ def test_predictive_mmd_prefers_matching_parameters():
     clean = task.simulate(theta, rng)
     good_post = theta + 0.1 * derive_rng(62, "good").standard_normal((300, 2))
     bad_post = theta + 4.0 + 0.1 * derive_rng(62, "bad").standard_normal((300, 2))
-    mmd_good = predictive_mmd(task, good_post, clean, 100, derive_rng(62, "rep1"))
-    mmd_bad = predictive_mmd(task, bad_post, clean, 100, derive_rng(62, "rep2"))
+    mmd_good, mmd_bad = predictive_mmd(task, [good_post, bad_post], clean, 100,
+                                       [derive_rng(62, "rep1"), derive_rng(62, "rep2")])
     assert mmd_bad > 2.0 * mmd_good
 
 
@@ -144,7 +190,7 @@ def test_predictive_mmd_accepts_out_of_prior_draws():
     task = oup_task(n_obs=4, horizon=6)
     clean = task.simulate(np.array([1.0, 0.0]), derive_rng(62, "oupclean"))
     off_prior = np.tile([2.5, 0.0], (20, 1))  # outside the box
-    value = predictive_mmd(task, off_prior, clean, 10, derive_rng(62, "oupp"))
+    (value,) = predictive_mmd(task, [off_prior], clean, 10, [derive_rng(62, "oupp")])
     assert np.isfinite(value) and value >= 0.0
 
 
@@ -152,8 +198,8 @@ def test_predictive_mmd_is_deterministic_given_stream():
     task = gaussian_task(d=2, n_obs=20)
     clean = task.simulate(np.zeros(2), derive_rng(62, "det"))
     post = derive_rng(62, "detpost").standard_normal((100, 2))
-    a = predictive_mmd(task, post, clean, 50, derive_rng(62, "detrep"))
-    b = predictive_mmd(task, post, clean, 50, derive_rng(62, "detrep"))
+    a = predictive_mmd(task, [post], clean, 50, [derive_rng(62, "detrep")])
+    b = predictive_mmd(task, [post], clean, 50, [derive_rng(62, "detrep")])
     assert a == b
 
 
