@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import NumericalError
+from .util import NumericalError, replacing
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,7 +112,7 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     task = build_task(cfg)
     pool, _ = stage_pool(cfg, out, task=task)
-    dec, _holdout, dec_path = stage_decoder(cfg, out, pool=pool, task=task)
+    dec, _, dec_path = stage_decoder(cfg, out, pool=pool, task=task)
     engine, eng_path = stage_engine(cfg, out, pool=pool, task=task)
     print(f"decoder: {dec_path} (threshold {dec.threshold})")
     print(f"engine: {eng_path}")
@@ -122,7 +122,7 @@ def _cmd_train(args) -> int:
 def _cmd_adapt(args) -> int:
     from .adaptation import adapt
     from .inference import decoder_load
-    dec, _holdout = decoder_load(args.model)
+    dec, _ = decoder_load(args.model)
     observed = _load_observed(args.data)
     result = adapt(dec, observed, gate=not args.no_gate)
     payload = {
@@ -138,7 +138,8 @@ def _cmd_adapt(args) -> int:
     }
     text = json.dumps(payload, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with replacing(args.out) as fh:
+            fh.write((text + "\n").encode("utf-8"))
     else:
         print(text)
     return EXIT_OK

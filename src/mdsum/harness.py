@@ -8,11 +8,12 @@ A single config document drives the whole pipeline:
 
 Every stage artifact is cached in the output directory under a content key
 derived from the part of the config that affects it and ARTIFACT_VERSION,
-so stages are skippable and reruns are cheap; the results CSV and manifest
-are keyed by the whole config and ARTIFACT_VERSION. All randomness is
-derived from (master_seed, stage tag, dataset index); together with ordered
-row emission this makes the results CSV byte-identical for a given config at
-any parallelism level. Stage timings go to the manifest, never to the CSV.
+so stages are skippable and a run whose models are cached reads no pool;
+the results CSV and manifest are keyed by the whole config and
+ARTIFACT_VERSION. All randomness is derived from (master_seed, stage tag,
+dataset index); with ordered row emission this makes the results CSV
+byte-identical for a given config at any parallelism level. Stage timings
+go to the manifest, never to the CSV.
 
 A config is one JSON document holding only the values its callers set;
 the rest (the gate and coverage levels and the mixture size here, the
@@ -53,7 +54,7 @@ MDN_COMPONENTS = 5
 # Raise whenever code changes what any stage writes or what the results CSV
 # holds: every cache key folds it in, so no file from older code is served.
 # Files under old keys stay where they are; delete the directory to clear them.
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 _METHODS = ("npe_plain", "npe_mds")
 _COUNTS = ("d", "obs_dim", "n_obs", "horizon", "n_train", "n_features", "max_epochs",
@@ -211,8 +212,14 @@ def build_task(cfg: ExperimentConfig):
     return make_task(cfg.task, **params)
 
 
+def _stage_paths(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    return {"pool": out_dir / f"pool-{_pool_key(cfg)}.npz",
+            "decoder": out_dir / f"decoder-{_decoder_key(cfg)}.json",
+            "engine": out_dir / f"engine-{_engine_key(cfg)}.json"}
+
+
 def stage_pool(cfg: ExperimentConfig, out_dir: Path, task=None):
-    path = out_dir / f"pool-{_pool_key(cfg)}.npz"
+    path = _stage_paths(cfg, out_dir)["pool"]
     if path.exists():
         return load_pool(path), path
     if task is None:
@@ -223,10 +230,13 @@ def stage_pool(cfg: ExperimentConfig, out_dir: Path, task=None):
 
 
 def stage_decoder(cfg: ExperimentConfig, out_dir: Path, pool=None, task=None):
-    path = out_dir / f"decoder-{_decoder_key(cfg)}.json"
+    """(decoder, None, path): the cached decoder, or one trained, calibrated
+    on its holdout and then saved without it. The None stands where the
+    holdout was, because perfbench unpacks three values (_setup_once)."""
+    path = _stage_paths(cfg, out_dir)["decoder"]
     if path.exists():
-        dec, holdout = decoder_load(path)
-        return dec, holdout, path
+        dec, _ = decoder_load(path)
+        return dec, None, path
     if pool is None:
         pool, _ = stage_pool(cfg, out_dir, task=task)
     seed = cfg.master_seed
@@ -238,12 +248,12 @@ def stage_decoder(cfg: ExperimentConfig, out_dir: Path, pool=None, task=None):
                                           cfg.max_epochs, cfg.patience,
                                           holdout_frac=cfg.holdout_frac)
     calibrate_threshold(dec, holdout, alpha=cfg.alpha)
-    decoder_save(dec, path, holdout)
-    return dec, holdout, path
+    decoder_save(dec, path)
+    return dec, None, path
 
 
 def stage_engine(cfg: ExperimentConfig, out_dir: Path, pool=None, task=None):
-    path = out_dir / f"engine-{_engine_key(cfg)}.json"
+    path = _stage_paths(cfg, out_dir)["engine"]
     if path.exists():
         return engine_load(path), path
     if TASKS[cfg.task].engine == "analytic":
@@ -380,49 +390,51 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     }
 
     def _flush_manifest():
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
+        with replacing(manifest_path) as fh:
+            fh.write(json.dumps(manifest, indent=2).encode("utf-8"))
 
+    paths = _stage_paths(cfg, out)
+    # the pool is read only if a stage must train, and then once for both
+    must_train = not paths["decoder"].exists() or (
+        TASKS[cfg.task].engine != "analytic" and not paths["engine"].exists())
     try:
         t0 = time.perf_counter()
         task = _run_stage("task", seed, build_task, cfg)
-        pool, pool_path = _run_stage("simulate", seed, stage_pool, cfg, out, task=task)
+        pool = None
+        if must_train:
+            pool, _ = _run_stage("simulate", seed, stage_pool, cfg, out, task=task)
         timings["pool_ms"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        dec, holdout, decoder_path = _run_stage("decoder", seed, stage_decoder,
-                                                cfg, out, pool=pool, task=task)
+        dec, _, _ = _run_stage("decoder", seed, stage_decoder, cfg, out, pool=pool, task=task)
         timings["decoder_ms"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        engine, engine_path = _run_stage("engine", seed, stage_engine,
-                                         cfg, out, pool=pool, task=task)
+        engine, _ = _run_stage("engine", seed, stage_engine, cfg, out, pool=pool, task=task)
         timings["engine_ms"] = (time.perf_counter() - t0) * 1e3
 
-        dec_hash_before = decoder_hash(dec)
-        eng_hash_before = engine_hash(engine)
-        manifest["artifacts"] = {"pool": pool_path.name, "decoder": decoder_path.name,
-                                 "engine": engine_path.name, "results": csv_path.name}
-        manifest["decoder_hash"] = dec_hash_before
-        manifest["engine_hash"] = eng_hash_before
+        hashes = (decoder_hash(dec), engine_hash(engine))
+        manifest["artifacts"] = {**{stage: p.name for stage, p in paths.items()},
+                                 "results": csv_path.name}
+        manifest["decoder_hash"], manifest["engine_hash"] = hashes
 
         t0 = time.perf_counter()
         if not csv_path.exists():
             _run_stage("evaluate", seed, _evaluate_to_csv, cfg, task, dec, engine,
-                       csv_path, jobs, (dec_hash_before, eng_hash_before))
+                       csv_path, jobs, hashes)
         timings["evaluate_ms"] = (time.perf_counter() - t0) * 1e3
     except Exception as err:
         manifest["error"] = str(err)
         _flush_manifest()
         raise
 
-    with open(csv_path, encoding="utf-8") as fh:
-        n_rows = sum(1 for _ in fh) - 1
+    csv_bytes = csv_path.read_bytes()
     manifest["complete"] = True
-    manifest["n_rows"] = n_rows
+    manifest["n_rows"] = csv_bytes.count(b"\n") - 1
     manifest["timings_ms"] = timings
     _flush_manifest()
-    (out / "results.csv").write_bytes(csv_path.read_bytes())
+    with replacing(out / "results.csv") as fh:
+        fh.write(csv_bytes)
     return manifest
 
 
@@ -538,16 +550,9 @@ def write_summary_csv(summary_rows, path) -> None:
             "predictive_mmd_median", "predictive_mmd_iqr",
             "summary_oracle_dist_median", "summary_oracle_dist_iqr",
             "detected_rate"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
+    with replacing(path) as fh:
+        fh.write((",".join(cols) + "\n").encode("utf-8"))
         for r in summary_rows:
-            vals = []
-            for c in cols:
-                v = r.get(c)
-                if v is None:
-                    vals.append("")
-                elif isinstance(v, float):
-                    vals.append(repr(v))
-                else:
-                    vals.append(str(v))
-            fh.write(",".join(vals) + "\n")
+            vals = ("" if v is None else repr(v) if isinstance(v, float) else str(v)
+                    for v in map(r.get, cols))
+            fh.write((",".join(vals) + "\n").encode("utf-8"))

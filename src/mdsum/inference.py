@@ -11,12 +11,12 @@ plus raw float64 arrays. ``util.save_payload`` writes it as JSON with every
 array swapped for its shape and the bit-exact ``float.hex`` string of each
 value, and ``*_from_payload`` reads that saved form back
 (``util.decode_floats``), checking every array's shape, and a decoder's
-task, against the model's own dimensions. ``decoder_hash`` and
-``engine_hash`` are sha256 over the payload's JSON skeleton, with arrays
-replaced by their shapes, followed by each array's little-endian float64
-bytes in sorted-key order (``util.payload_hash``). They certify that
-test-time adaptation never touches the frozen models without rendering a
-single float to text.
+task, against the model's own dimensions; a decoder's holdout is not saved.
+``decoder_hash`` and ``engine_hash`` are sha256 over the payload's JSON
+skeleton, with arrays replaced by their shapes, followed by each array's
+little-endian float64 bytes in sorted-key order (``util.payload_hash``).
+They certify that test-time adaptation never touches the frozen models
+without rendering a single float to text.
 """
 
 from __future__ import annotations
@@ -269,9 +269,9 @@ def posterior_sample(engine: PosteriorEngine, s, n_samples: int,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def decoder_to_payload(dec: DecoderEmbedding, holdout: HoldoutRecords | None = None) -> dict:
+def decoder_to_payload(dec: DecoderEmbedding) -> dict:
     """The decoder as JSON values and float64 arrays (aliasing the model's)."""
-    payload = {
+    return {
         "kind": "decoder",
         "task": {"name": dec.task.name, "params": dec.task.params},
         "feature_map": feature_map_to_payload(dec.feature_map),
@@ -280,9 +280,6 @@ def decoder_to_payload(dec: DecoderEmbedding, holdout: HoldoutRecords | None = N
         "summary_std": dec.summary_std,
         "threshold": None if dec.threshold is None else np.array([dec.threshold]),
     }
-    if holdout is not None:
-        payload["holdout"] = {"summaries": holdout.summaries, "embeddings": holdout.embeddings}
-    return payload
 
 
 def _network_from_payload(payload: dict, out_dim: int, what: str) -> Mlp:
@@ -299,12 +296,12 @@ def _input_array(payload: dict, key: str, mlp: Mlp) -> np.ndarray:
 
 
 @reads_payload
-def decoder_from_payload(payload: dict):
-    """Rebuild (decoder, holdout or None) from a saved payload.
+def decoder_from_payload(payload: dict) -> DecoderEmbedding:
+    """Rebuild a decoder from a saved payload.
 
     Every array is decoded afresh (util.decode_floats), and its shape must
     agree with the model's dimensions, as must the task's row and summary
-    widths (ValueError).
+    widths (ValueError). The ``holdout`` of older files is not decoded.
     """
     if payload.get("kind") != "decoder":
         raise ValueError(f"not a decoder payload: kind={payload.get('kind')!r}")
@@ -316,7 +313,7 @@ def decoder_from_payload(payload: dict):
         raise ValueError(f"task {task.name} has rows of {task.obs_dim} and summaries of "
                          f"{task.summary_dim}, but the models take {fm.dim} and "
                          f"{regressor.layer_dims[0]}")
-    dec = DecoderEmbedding(
+    return DecoderEmbedding(
         feature_map=fm,
         regressor=regressor,
         summary_mean=_input_array(payload, "summary_mean", regressor),
@@ -324,26 +321,22 @@ def decoder_from_payload(payload: dict):
         task=task,
         threshold=None if threshold is None else float(decode_floats(threshold)[0]),
     )
-    holdout = None
-    if "holdout" in payload:
-        holdout = HoldoutRecords(
-            summaries=decode_floats(payload["holdout"]["summaries"]),
-            embeddings=decode_floats(payload["holdout"]["embeddings"]),
-        )
-    return dec, holdout
 
 
-def decoder_save(dec: DecoderEmbedding, path, holdout: HoldoutRecords | None = None) -> None:
-    save_payload(decoder_to_payload(dec, holdout), path)
+def decoder_save(dec: DecoderEmbedding, path) -> None:
+    save_payload(decoder_to_payload(dec), path)
 
 
 def decoder_load(path):
+    """(decoder, None): files hold no holdout, and the None stays only
+    because perfbench unpacks two values (_timed_load)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return decoder_from_payload(json.load(fh))
+        return decoder_from_payload(json.load(fh)), None
 
 
 def decoder_hash(dec: DecoderEmbedding) -> str:
-    """Hash of the model content only (holdout records excluded)."""
+    """Hash of the model and its threshold; a holdout saved by older
+    versions never entered it."""
     return payload_hash(decoder_to_payload(dec))
 
 

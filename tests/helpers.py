@@ -12,17 +12,19 @@ reproduce bit for bit; sir_reference_paths is the per-path S, I and R
 Euler loop that the two-compartment SIR paths must match bit for bit.
 hex_encoded is the per-value float.hex reference that saved model files
 must match byte for byte, and saved_form reads a payload back as a saved
-file holds it.
+file holds it. fill_the_disk makes a util.replacing write fail half-way.
 """
 
+import errno
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from mdsum import simulators
+from mdsum import simulators, util
 from mdsum.inference import (AnalyticGaussianEngine, DecoderEmbedding, HoldoutRecords,
                              MdnEngine, PosteriorEngine, mdn_parameters)
 from mdsum.kernels import FeatureMap
@@ -60,6 +62,34 @@ def saved_form(payload):
         save_payload(payload, path)
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+
+
+class _HalfWriter:
+    """A binary file that takes half of its first write, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def fill_the_disk(monkeypatch, name):
+    """Make util.replacing's write of the file called name stop half-way
+    with ENOSPC, as on a full disk; other files are written as usual."""
+    def full_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return _HalfWriter(fh) if Path(path).name.startswith(f".{name}.") else fh
+
+    monkeypatch.setattr(util, "open", full_open, raising=False)
 
 
 def fd_gradient(fn, x, h=1e-6):

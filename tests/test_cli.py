@@ -3,12 +3,12 @@ import shutil
 
 import numpy as np
 import pytest
-from helpers import fixed_decoder
+from helpers import fill_the_disk, fixed_decoder, hex_encoded
 
 from mdsum.adaptation import adapt
 from mdsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from mdsum.harness import config_from_dict, config_hash
-from mdsum.inference import decoder_load, decoder_save
+from mdsum.inference import decoder_hash, decoder_load, decoder_save
 from mdsum.util import derive_rng
 
 TINY = {
@@ -110,8 +110,48 @@ def test_adapt_reads_npy_and_npz(bench_run, tmp_path, capsys):
     assert npz_out == npy_out  # same rows whatever the container
     payload = json.loads(npz_out)
     # plain JSON floats round-trip: the printed s_star is adapt's, bit for bit
-    dec, _holdout = decoder_load(model)
+    dec, _ = decoder_load(model)
     assert np.array_equal(np.array(payload["s_star"]), adapt(dec, data).s_star)
+
+
+def test_adapt_serves_a_version_2_model_file_with_its_holdout(bench_run, tmp_path, capsys):
+    # models saved before ARTIFACT_VERSION 3 carry their calibration holdout
+    key = config_hash(config_from_dict(dict(TINY)))[:16]
+    manifest = json.loads((bench_run / f"manifest-{key}.json").read_text())
+    model = bench_run / manifest["artifacts"]["decoder"]
+    saved = json.loads(model.read_text(encoding="utf-8"))
+    rng = derive_rng(70, "holdout")
+    saved["holdout"] = {"summaries": hex_encoded(rng.standard_normal((13, 2))),
+                        "embeddings": hex_encoded(rng.standard_normal((13, 16)))}
+    old = tmp_path / "old-decoder.json"
+    old.write_text(json.dumps(saved), encoding="utf-8")
+    assert decoder_hash(decoder_load(old)[0]) == decoder_hash(decoder_load(model)[0])
+    data = tmp_path / "obs.npy"
+    np.save(data, derive_rng(70, "old-model").standard_normal((12, 2)) + 3.0)
+    outputs = []
+    for path in (model, old):  # ungated, so that both queries run the optimizer
+        assert main(["adapt", "--model", str(path), "--data", str(data),
+                     "--no-gate"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["iterations"] > 0
+
+
+def test_a_failed_adapt_out_write_keeps_the_old_file(bench_run, tmp_path):
+    key = config_hash(config_from_dict(dict(TINY)))[:16]
+    manifest = json.loads((bench_run / f"manifest-{key}.json").read_text())
+    model = bench_run / manifest["artifacts"]["decoder"]
+    data = tmp_path / "obs.npy"
+    np.save(data, derive_rng(70, "out").standard_normal((12, 2)))
+    out = tmp_path / "adapt.json"
+    out.write_bytes(b"old\n")
+    with pytest.MonkeyPatch.context() as mp:
+        fill_the_disk(mp, "adapt.json")
+        with pytest.raises(OSError):
+            main(["adapt", "--model", str(model), "--data", str(data), "--out", str(out)])
+    assert out.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adapt.json", "obs.npy"]
+    assert main(["adapt", "--model", str(model), "--data", str(data), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text(encoding="utf-8"))["s_star"]
 
 
 def test_adapt_wrongly_shaped_data_exits_2(bench_run, tmp_path, capsys):
@@ -176,9 +216,9 @@ MODEL_FILE_EDITS = {
 
 @pytest.mark.parametrize("edit", sorted(MODEL_FILE_EDITS))
 def test_adapt_on_a_model_file_that_disagrees_with_itself_exits_2(tmp_path, capsys, edit):
-    dec, holdout = fixed_decoder()
+    dec, _ = fixed_decoder()
     model = tmp_path / "decoder.json"
-    decoder_save(dec, model, holdout)
+    decoder_save(dec, model)
     saved = json.loads(model.read_text(encoding="utf-8"))
     MODEL_FILE_EDITS[edit](saved)
     model.write_text(json.dumps(saved), encoding="utf-8")
@@ -192,9 +232,9 @@ def test_adapt_on_a_model_file_that_disagrees_with_itself_exits_2(tmp_path, caps
 
 @pytest.mark.parametrize("key", ["threshold", "task"])
 def test_adapt_on_a_model_file_missing_a_key_exits_2(tmp_path, capsys, key):
-    dec, holdout = fixed_decoder()
+    dec, _ = fixed_decoder()
     model = tmp_path / "decoder.json"
-    decoder_save(dec, model, holdout)
+    decoder_save(dec, model)
     saved = json.loads(model.read_text(encoding="utf-8"))
     del saved[key]
     model.write_text(json.dumps(saved), encoding="utf-8")

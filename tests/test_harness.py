@@ -5,6 +5,7 @@ import shutil
 
 import numpy as np
 import pytest
+from helpers import fill_the_disk
 
 import mdsum.harness
 from mdsum import simulators
@@ -48,6 +49,8 @@ ENGINE_KEYS = {
         "oup": "3424d9ff8faf4952", "sir": "7e3e3b4e50b2a39c"},
     2: {"gaussian": "41397c08c9a58faf", "factor": "1e8dfb875d0e5eb9",
         "oup": "8ab0c037c9495932", "sir": "ad65b65fc4bcca0a"},
+    3: {"gaussian": "0e3c0dc3742f6fd0", "factor": "dea3112c40bdd7b5",
+        "oup": "e05d004139f35814", "sir": "35395c1a1530a8df"},
 }
 
 
@@ -309,6 +312,66 @@ def test_pipeline_rerun_is_byte_identical_and_cached(tiny_run):
     assert manifest2["engine_hash"] == manifest["engine_hash"]
 
 
+def test_a_saved_decoder_holds_the_model_alone(tiny_run):
+    # the gate is calibrated on the holdout before the save; the holdout is not saved
+    cfg, out, manifest = tiny_run
+    saved = json.loads((out / manifest["artifacts"]["decoder"]).read_text(encoding="utf-8"))
+    assert list(saved) == ["kind", "task", "feature_map", "regressor", "summary_mean",
+                           "summary_std", "threshold"]
+    assert saved["threshold"] is not None
+
+
+def test_a_warm_run_reads_no_pool(tiny_run, tmp_path, monkeypatch):
+    # both models are cached, so no stage trains; the manifest still names the pool
+    cfg, out, manifest = tiny_run
+    for stage in ("pool", "decoder", "engine"):
+        shutil.copy(out / manifest["artifacts"][stage], tmp_path)
+
+    def no_pool(*args):
+        raise AssertionError("a warm run read or built the pool")
+
+    monkeypatch.setattr(mdsum.harness, "load_pool", no_pool)
+    monkeypatch.setattr(mdsum.harness, "build_training_pool", no_pool)
+    manifest2 = run_pipeline(cfg, tmp_path, jobs=1)
+    assert manifest2["artifacts"] == manifest["artifacts"]
+    assert ((tmp_path / manifest["artifacts"]["results"]).read_bytes()
+            == (out / manifest["artifacts"]["results"]).read_bytes())
+
+
+def test_an_mdn_run_reads_the_pool_once_for_both_stages(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_training_pool", "load_pool"):
+        monkeypatch.setattr(mdsum.harness, name, counted(getattr(mdsum.harness, name)))
+    cfg = config_from_dict(dict(GOLDEN_CONFIGS["oup"]))
+    manifest = run_pipeline(cfg, tmp_path, jobs=1)
+    assert calls == ["build_training_pool"]  # cold: built once, handed to both stages
+    (tmp_path / manifest["artifacts"]["engine"]).unlink()
+    calls.clear()
+    assert run_pipeline(cfg, tmp_path, jobs=1)["engine_hash"] == manifest["engine_hash"]
+    assert calls == ["load_pool"]  # the engine alone retrains
+
+
+@pytest.mark.parametrize("target", ["manifest", "results.csv"])
+def test_a_failed_run_write_keeps_the_old_file(tiny_run, tmp_path, monkeypatch, target):
+    cfg, out, manifest = tiny_run
+    for name in manifest["artifacts"].values():
+        shutil.copy(out / name, tmp_path)
+    name = f"manifest-{config_hash(cfg)[:16]}.json" if target == "manifest" else target
+    (tmp_path / name).write_bytes(b"old\n")
+    fill_the_disk(monkeypatch, name)
+    with pytest.raises(OSError):
+        run_pipeline(cfg, tmp_path, jobs=1)
+    assert (tmp_path / name).read_bytes() == b"old\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_artifact_version_change_reruns_every_stage(tiny_run, tmp_path, monkeypatch):
     cfg, out, manifest = tiny_run
     names = [*manifest["artifacts"].values(), f"manifest-{config_hash(cfg)[:16]}.json"]
@@ -390,6 +453,17 @@ _RESULTS_V2 = {
 }
 GOLDEN_DIGESTS[2] = {name: (*digests[:2], _RESULTS_V2[name], *digests[3:])
                      for name, digests in GOLDEN_DIGESTS[1].items()}
+# Version 3 saves no holdout in the decoder file. The models, their hashes,
+# the engine files and the results are version 2's; only the decoder file
+# digests differ.
+_DECODER_FILES_V3 = {
+    "gaussian": "3b3f0c0a22541f65d50eaf654c05c796a910bf51ec8d9035dfb4cb0383768205",
+    "oup": "1f4bdb7e74100bc2c8bc5753a8cee5f2bcc73632e941c3ac167bf5b599447f92",
+    "factor": "12a61e467fa7a661f5cd9953a42fce6d1760f0d166d38ede4ae21b866010608d",
+    "sir": "ab0015e9b0e49709e326a548f424d0bf103c6395ea663a672bdf9d5f24f2b7fd",
+}
+GOLDEN_DIGESTS[3] = {name: (*digests[:3], _DECODER_FILES_V3[name], digests[4])
+                     for name, digests in GOLDEN_DIGESTS[2].items()}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
@@ -526,6 +600,19 @@ def test_write_summary_csv_round_trip(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("task,method,eps,delta,n,rmse_median")
+
+
+def test_a_failed_summary_write_keeps_the_old_file(tmp_path, monkeypatch):
+    src = tmp_path / "hand.csv"
+    src.write_text(HAND_CSV, encoding="utf-8")
+    summary_rows, _ = summarize([src])
+    out = tmp_path / "summary.csv"
+    out.write_bytes(b"old\n")
+    fill_the_disk(monkeypatch, "summary.csv")
+    with pytest.raises(OSError):
+        write_summary_csv(summary_rows, out)
+    assert out.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hand.csv", "summary.csv"]
 
 
 def test_read_results_csv_rejects_wrong_header(tmp_path):

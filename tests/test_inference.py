@@ -35,7 +35,7 @@ from mdsum.inference import (
 from mdsum.kernels import build_feature_map, mean_embedding, median_heuristic
 from mdsum.nn import forward_batch, mlp_forward, mlp_init
 from mdsum.simulators import build_training_pool, gaussian_task
-from mdsum.util import NumericalError, derive_rng, map_arrays
+from mdsum.util import NumericalError, derive_rng, map_arrays, save_payload
 
 
 def small_pool(m=1500, n_obs=20, seed=11):
@@ -362,10 +362,10 @@ def test_analytic_kl_validation():
 # ---------------------------------------------------------------------------
 
 def test_decoder_round_trip_is_value_exact(trained_decoder, tmp_path):
-    _, dec, holdout, _ = trained_decoder
+    _, dec, _, _ = trained_decoder
     path = tmp_path / "decoder.json"
-    decoder_save(dec, path, holdout)
-    loaded, loaded_holdout = decoder_load(path)
+    decoder_save(dec, path)
+    loaded, _ = decoder_load(path)
     assert np.array_equal(loaded.summary_mean, dec.summary_mean)
     assert np.array_equal(loaded.summary_std, dec.summary_std)
     assert np.array_equal(loaded.feature_map.frequencies, dec.feature_map.frequencies)
@@ -373,17 +373,20 @@ def test_decoder_round_trip_is_value_exact(trained_decoder, tmp_path):
         assert np.array_equal(w_a, w_b)
     assert loaded.threshold is None
     assert loaded.task.name == "gaussian"
-    assert np.array_equal(loaded_holdout.embeddings, holdout.embeddings)
     s = np.array([0.3, -0.8])
     assert np.array_equal(decoder_embed(loaded, s), decoder_embed(dec, s))
 
 
-def test_decoder_hash_ignores_holdout(trained_decoder, tmp_path):
-    _, dec, holdout, _ = trained_decoder
-    path = tmp_path / "decoder.json"
-    decoder_save(dec, path, holdout)
-    loaded, _ = decoder_load(path)
+def test_a_version_2_decoder_file_with_its_holdout_still_loads(tmp_path):
+    # files written before ARTIFACT_VERSION 3 carry the calibration holdout
+    dec, holdout = fixed_decoder()
+    old = {**decoder_to_payload(dec),
+           "holdout": {"summaries": holdout.summaries, "embeddings": holdout.embeddings}}
+    save_payload(old, tmp_path / "old-decoder.json")
+    loaded, none = decoder_load(tmp_path / "old-decoder.json")
+    assert none is None
     assert decoder_hash(loaded) == decoder_hash(dec)
+    assert _arrays_equal(decoder_to_payload(loaded), decoder_to_payload(dec))
 
 
 def test_decoder_hash_tracks_threshold(trained_decoder):
@@ -394,7 +397,7 @@ def test_decoder_hash_tracks_threshold(trained_decoder):
     dec2 = copy.copy(dec)
     dec2.threshold = 0.125
     assert decoder_hash(dec2) != base
-    rebuilt, _ = decoder_from_payload(saved_form(decoder_to_payload(dec2)))
+    rebuilt = decoder_from_payload(saved_form(decoder_to_payload(dec2)))
     assert rebuilt.threshold == 0.125
     # a rebuilt model never aliases its source
     for a, b in [(rebuilt.summary_mean, dec2.summary_mean),
@@ -519,10 +522,10 @@ def test_model_hashes_refuse_non_finite_parameters(value):
 
 @pytest.mark.parametrize("kind", ["decoder", "engine"])
 def test_a_failed_save_leaves_no_file_and_keeps_the_old_one(tmp_path, kind):
-    dec, holdout = fixed_decoder()
+    dec, _ = fixed_decoder()
     engine = make_mdn_engine(seed=23)
     path = tmp_path / f"{kind}.json"
-    save = ((lambda: decoder_save(dec, path, holdout)) if kind == "decoder"
+    save = ((lambda: decoder_save(dec, path)) if kind == "decoder"
             else (lambda: engine_save(engine, path)))
     save()
     old = path.read_bytes()
@@ -564,9 +567,9 @@ def _arrays_equal(a, b):
 
 
 def test_files_with_the_dec_mirror_still_load(tmp_path):
-    dec, holdout = fixed_decoder()
+    dec, _ = fixed_decoder()
     engine = make_mdn_engine(seed=23)
-    decoder_save(dec, tmp_path / "decoder.json", holdout)
+    decoder_save(dec, tmp_path / "decoder.json")
     engine_save(engine, tmp_path / "engine.json")
     for name in ("decoder.json", "engine.json"):
         saved = json.loads((tmp_path / name).read_text(encoding="utf-8"))
@@ -574,9 +577,8 @@ def test_files_with_the_dec_mirror_still_load(tmp_path):
         assert old != saved and '"dec": ["' in json.dumps(old)
         (tmp_path / f"old-{name}").write_text(json.dumps(old), encoding="utf-8")
 
-    dec_old, holdout_old = decoder_load(tmp_path / "old-decoder.json")
-    assert _arrays_equal(decoder_to_payload(dec_old, holdout_old),
-                         decoder_to_payload(dec, holdout))
+    dec_old, _ = decoder_load(tmp_path / "old-decoder.json")
+    assert _arrays_equal(decoder_to_payload(dec_old), decoder_to_payload(dec))
     assert decoder_hash(dec_old) == decoder_hash(dec)
     engine_old = engine_load(tmp_path / "old-engine.json")
     assert _arrays_equal(engine_to_payload(engine_old), engine_to_payload(engine))
@@ -584,16 +586,15 @@ def test_files_with_the_dec_mirror_still_load(tmp_path):
 
 
 def test_loads_refuse_non_finite_values(tmp_path):
-    dec, holdout = fixed_decoder()
-    decoder_save(dec, tmp_path / "decoder.json", holdout)
+    dec, _ = fixed_decoder()
+    decoder_save(dec, tmp_path / "decoder.json")
     engine_save(make_mdn_engine(seed=23), tmp_path / "engine.json")
     saved_dec = json.loads((tmp_path / "decoder.json").read_text(encoding="utf-8"))
     saved_engine = json.loads((tmp_path / "engine.json").read_text(encoding="utf-8"))
     bad_files = []
     for bad in ("nan", "inf", "-inf"):
         for edit in (lambda p: p["threshold"]["hex"],
-                     lambda p: p["regressor"]["biases"][0]["hex"],
-                     lambda p: p["holdout"]["embeddings"]["hex"]):
+                     lambda p: p["regressor"]["biases"][0]["hex"]):
             payload = copy.deepcopy(saved_dec)
             edit(payload)[0] = bad
             bad_files.append(("decoder", payload))
@@ -631,9 +632,9 @@ MISSHAPEN_DECODERS = {
 @pytest.mark.parametrize("edit", sorted(MISSHAPEN_DECODERS))
 def test_decoder_load_rejects_arrays_that_disagree_with_its_dimensions(tmp_path, edit):
     # broadcasting would let such a file load and answer adapt queries
-    dec, holdout = fixed_decoder()
+    dec, _ = fixed_decoder()
     MISSHAPEN_DECODERS[edit](dec)
-    decoder_save(dec, tmp_path / "decoder.json", holdout)
+    decoder_save(dec, tmp_path / "decoder.json")
     with pytest.raises(ValueError):
         decoder_load(tmp_path / "decoder.json")
 
@@ -674,7 +675,7 @@ def test_engine_load_names_a_key_the_file_lacks(tmp_path, key):
 
 
 def test_saved_files_keep_the_nested_hex_format(tmp_path):
-    dec, holdout = fixed_decoder()
+    dec, _ = fixed_decoder()
     fm = dec.feature_map
     old_decoder = {
         "kind": "decoder",
@@ -687,10 +688,8 @@ def test_saved_files_keep_the_nested_hex_format(tmp_path):
         "summary_mean": hex_encoded(dec.summary_mean),
         "summary_std": hex_encoded(dec.summary_std),
         "threshold": hex_encoded(np.array([dec.threshold])),
-        "holdout": {"summaries": hex_encoded(holdout.summaries),
-                    "embeddings": hex_encoded(holdout.embeddings)},
     }
-    decoder_save(dec, tmp_path / "decoder.json", holdout)
+    decoder_save(dec, tmp_path / "decoder.json")
     assert (tmp_path / "decoder.json").read_text(encoding="utf-8") == json.dumps(old_decoder)
 
     engine = make_mdn_engine(seed=23)

@@ -71,8 +71,8 @@ def test_perfbench_tracer_installs_on_the_package():
 
 
 def test_perfbench_reads_the_saved_decoder(tmp_path):
-    dec, holdout = fixed_decoder()
-    decoder_save(dec, tmp_path / "decoder.json", holdout)
+    dec, _ = fixed_decoder()
+    decoder_save(dec, tmp_path / "decoder.json")
     _run(READ_DECODER, str(tmp_path / "decoder.json"), str(tmp_path / "arrays.npz"))
     with np.load(tmp_path / "arrays.npz") as read:
         expected = {"mean": dec.summary_mean, "std": dec.summary_std,
