@@ -106,12 +106,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .harness import build_task, stage_decoder, stage_engine, stage_pool
+    from .harness import build_task, needs_pool, stage_decoder, stage_engine, stage_pool
     cfg = _load_config(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     task = build_task(cfg)
-    pool, _ = stage_pool(cfg, out, task=task)
+    pool = stage_pool(cfg, out, task=task)[0] if needs_pool(cfg, out) else None
     dec, _, dec_path = stage_decoder(cfg, out, pool=pool, task=task)
     engine, eng_path = stage_engine(cfg, out, pool=pool, task=task)
     print(f"decoder: {dec_path} (threshold {dec.threshold})")

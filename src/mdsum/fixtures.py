@@ -14,7 +14,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .harness import CSV_HEADER, ExperimentConfig, config_from_dict, run_pipeline
+from .harness import ExperimentConfig, config_from_dict, read_results_strings, run_pipeline
 
 _STRING_COLS = ("task", "method", "eps", "delta", "seed", "detected")
 MAX_REPORTED = 10
@@ -66,15 +66,6 @@ def discover_fixtures(root) -> list:
     return out
 
 
-def _read_rows(path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header in {path}")
-        names = header.split(",")
-        return names, [line.rstrip("\n").split(",") for line in fh if line.strip()]
-
-
 def verify_fixture(fixture: GoldenFixture, scratch_dir=None) -> FixtureReport:
     """Regenerate the fixture's results and diff against the committed CSV."""
     if scratch_dir is None:
@@ -86,8 +77,8 @@ def verify_fixture(fixture: GoldenFixture, scratch_dir=None) -> FixtureReport:
 def _verify_in(fixture: GoldenFixture, out_dir) -> FixtureReport:
     manifest = run_pipeline(fixture.config, out_dir, jobs=1)
     got_path = Path(out_dir) / manifest["artifacts"]["results"]
-    names, got = _read_rows(got_path)
-    _, expected = _read_rows(fixture.expected_csv)
+    names, got = read_results_strings(got_path)
+    _, expected = read_results_strings(fixture.expected_csv)
 
     divergences = []
 

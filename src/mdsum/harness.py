@@ -218,6 +218,14 @@ def _stage_paths(cfg: ExperimentConfig, out_dir: Path) -> dict:
             "engine": out_dir / f"engine-{_engine_key(cfg)}.json"}
 
 
+def needs_pool(cfg: ExperimentConfig, out_dir: Path) -> bool:
+    """Whether a stage must train: the pool is read only then, and once for
+    both stages."""
+    paths = _stage_paths(cfg, out_dir)
+    return not paths["decoder"].exists() or (
+        TASKS[cfg.task].engine != "analytic" and not paths["engine"].exists())
+
+
 def stage_pool(cfg: ExperimentConfig, out_dir: Path, task=None):
     path = _stage_paths(cfg, out_dir)["pool"]
     if path.exists():
@@ -394,14 +402,11 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
             fh.write(json.dumps(manifest, indent=2).encode("utf-8"))
 
     paths = _stage_paths(cfg, out)
-    # the pool is read only if a stage must train, and then once for both
-    must_train = not paths["decoder"].exists() or (
-        TASKS[cfg.task].engine != "analytic" and not paths["engine"].exists())
     try:
         t0 = time.perf_counter()
         task = _run_stage("task", seed, build_task, cfg)
         pool = None
-        if must_train:
+        if needs_pool(cfg, out):
             pool, _ = _run_stage("simulate", seed, stage_pool, cfg, out, task=task)
         timings["pool_ms"] = (time.perf_counter() - t0) * 1e3
 
@@ -473,25 +478,32 @@ _NUMERIC_COLS = ("rmse", "coverage", "posterior_mmd", "predictive_mmd",
                  "summary_oracle_dist")
 
 
+def read_results_strings(path):
+    """(column names, rows of string values) of a results CSV, whose header
+    must be CSV_HEADER; blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().strip() != CSV_HEADER:
+            raise ValueError(f"unexpected CSV header in {path}")
+        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    names = CSV_HEADER.split(",")
+    for parts in rows:
+        if len(parts) != len(names):
+            raise ValueError(f"malformed CSV line in {path}: {','.join(parts)!r}")
+    return names, rows
+
+
 def read_results_csv(path):
     """Parse a results CSV into a list of row dicts."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header in {path}")
-        names = header.split(",")
-        rows = []
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(names):
-                raise ValueError(f"malformed CSV line in {path}: {line!r}")
-            row = dict(zip(names, parts))
-            for col in _NUMERIC_COLS:
-                row[col] = float(row[col]) if row[col] != "" else None
-            row["eps"], row["delta"] = float(row["eps"]), float(row["delta"])
-            row["seed"] = int(row["seed"])
-            row["detected"] = row["detected"] == "true"
-            rows.append(row)
+    names, lines = read_results_strings(path)
+    rows = []
+    for parts in lines:
+        row = dict(zip(names, parts))
+        for col in _NUMERIC_COLS:
+            row[col] = float(row[col]) if row[col] != "" else None
+        row["eps"], row["delta"] = float(row["eps"]), float(row["delta"])
+        row["seed"] = int(row["seed"])
+        row["detected"] = row["detected"] == "true"
+        rows.append(row)
     return rows
 
 

@@ -7,19 +7,24 @@ them matching finite differences to high precision, so nothing in this
 module is allowed to approximate.
 
 Weights for layer l have shape (fan_out, fan_in) and act on row batches as
-``X @ W.T + b``. Every forward pass goes through ``forward_batch``;
-``mlp_vjp`` reuses that one pass's activations for the input gradient, so a
-value-and-gradient query costs a single forward. Adam's constants and the
-validation split, the learning rate and the batch size are fixed (ADAM_*,
-VAL_FRACTION, LEARNING_RATE, BATCH_SIZE). Networks persist only as
-payloads inside the decoder and engine artifacts of ``inference``; a payload
-loads only if it names the activation "tanh" and matches its layer_dims.
+``X @ W.T + b``. All of a network's parameters sit in one float64 vector,
+``Mlp.params``: each layer's weight (row-major), then its bias. ``weights``
+and ``biases`` are views into it (``_layout``), so write into them; a
+rebound entry is detached. Backprop returns one gradient in that layout,
+and Adam updates the whole vector at once. Every forward pass goes through
+``forward_batch``; ``mlp_vjp`` reuses that one pass's activations for the
+input gradient, so a value-and-gradient query costs a single forward.
+Adam's constants and the validation split, the learning rate and the batch
+size are fixed (ADAM_*, VAL_FRACTION, LEARNING_RATE, BATCH_SIZE). Networks
+persist only as payloads inside the decoder and engine artifacts of
+``inference``; a payload loads only if it names the activation "tanh" and
+matches its layer_dims.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,26 +38,38 @@ BATCH_SIZE = 128  # rows per fit_mlp step
 VAL_FRACTION = 0.10  # share of fit_mlp's rows held aside for early stopping
 
 
+def _layout(dims, flat: np.ndarray):
+    """Views of a parameter-sized vector as each layer's (fan_out, fan_in)
+    weight and (fan_out,) bias: (weights, biases)."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 @dataclass
 class Mlp:
     layer_dims: tuple
-    weights: list  # list of (fan_out, fan_in) float64 arrays
-    biases: list  # list of (fan_out,) float64 arrays
+    params: np.ndarray  # every weight and bias, layer by layer (_layout)
 
+    def __post_init__(self):
+        self.weights, self.biases = _layout(self.layer_dims, self.params)
 
-@dataclass
-class Gradients:
-    weights: list
-    biases: list
+    def __getstate__(self):  # a copy or an unpickled network rebuilds its views
+        return self.layer_dims, self.params
+
+    def __setstate__(self, state):
+        self.__init__(*state)
 
 
 @dataclass
 class AdamState:
     step: int
-    m_weights: list
-    v_weights: list
-    m_biases: list
-    v_biases: list
+    m: np.ndarray  # first and second moments, laid out as Mlp.params
+    v: np.ndarray
 
 
 @dataclass
@@ -63,23 +80,24 @@ class TrainReport:
     val_losses: list
 
 
+def _zeros(dims: tuple) -> Mlp:
+    """An all-zero network; ValueError unless dims are two or more positive ints."""
+    if len(dims) < 2 or not all(isinstance(d, int) and d > 0 for d in dims):
+        raise ValueError(f"need two or more positive integer layer dims, got {dims}")
+    return Mlp(dims, np.zeros(sum(fo * (fi + 1) for fi, fo in zip(dims[:-1], dims[1:]))))
+
+
 def mlp_init(layer_dims, rng: np.random.Generator) -> Mlp:
     """Glorot-uniform weights, zero biases.
 
     The limit a = sqrt(6 / (fan_in + fan_out)) keeps tanh pre-activations
     in their linear regime at the start of training.
     """
-    dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2:
-        raise ValueError(f"need at least input and output dims, got {dims}")
-    if any(d <= 0 for d in dims):
-        raise ValueError(f"all layer dims must be positive, got {dims}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(layer_dims=dims, weights=weights, biases=biases)
+    mlp = _zeros(tuple(int(d) for d in layer_dims))
+    for w in mlp.weights:
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return mlp
 
 
 def forward_batch(mlp: Mlp, inputs: np.ndarray):
@@ -129,20 +147,19 @@ def mlp_vjp(mlp: Mlp, x):
     return out[0], vjp
 
 
-def backward_from_output_grad(mlp: Mlp, activations: list, grad_out: np.ndarray) -> Gradients:
-    """Backprop an arbitrary (B, d_out) output gradient to parameter gradients."""
+def backward_from_output_grad(mlp: Mlp, activations: list, grad_out: np.ndarray) -> np.ndarray:
+    """Backprop an arbitrary (B, d_out) output gradient to the parameters:
+    one flat gradient, laid out as mlp.params."""
+    grad = np.empty_like(mlp.params)
+    d_weights, d_biases = _layout(mlp.layer_dims, grad)
     g = grad_out
-    n_layers = len(mlp.weights)
-    d_weights = [None] * n_layers
-    d_biases = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        h_prev = activations[l]
-        d_weights[l] = g.T @ h_prev
-        d_biases[l] = g.sum(axis=0)
+    for l in range(len(mlp.weights) - 1, -1, -1):
+        np.matmul(g.T, activations[l], out=d_weights[l])
+        g.sum(axis=0, out=d_biases[l])
         if l > 0:
             # activations[l] for l >= 1 is tanh output, so tanh' = 1 - h^2
             g = (g @ mlp.weights[l]) * (1.0 - activations[l] ** 2)
-    return Gradients(weights=d_weights, biases=d_biases)
+    return grad
 
 
 def mse_loss_grad(outputs: np.ndarray, targets: np.ndarray):
@@ -153,46 +170,27 @@ def mse_loss_grad(outputs: np.ndarray, targets: np.ndarray):
 
 
 def adam_init(mlp: Mlp) -> AdamState:
-    return AdamState(
-        step=0,
-        m_weights=[np.zeros_like(w) for w in mlp.weights],
-        v_weights=[np.zeros_like(w) for w in mlp.weights],
-        m_biases=[np.zeros_like(b) for b in mlp.biases],
-        v_biases=[np.zeros_like(b) for b in mlp.biases],
-    )
+    return AdamState(step=0, m=np.zeros_like(mlp.params), v=np.zeros_like(mlp.params))
 
 
-def _adam_update(p, g, m, v, t: int):
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (g * g)
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    p -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-def adam_step(state: AdamState, mlp: Mlp, grads: Gradients):
-    """One Adam update with bias correction. Mutates mlp and state in place."""
-    for i, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise NumericalError(f"non-finite gradient in layer {i}")
+def adam_step(state: AdamState, mlp: Mlp, grad: np.ndarray) -> None:
+    """One Adam update with bias correction of the whole parameter vector,
+    from a flat gradient. Mutates mlp and state in place."""
+    if not np.all(np.isfinite(grad)):
+        raise NumericalError("non-finite gradient")
     state.step += 1
     t = state.step
-    for i in range(len(mlp.weights)):
-        _adam_update(mlp.weights[i], grads.weights[i], state.m_weights[i],
-                     state.v_weights[i], t)
-        _adam_update(mlp.biases[i], grads.biases[i], state.m_biases[i],
-                     state.v_biases[i], t)
-    return mlp, state
-
-
-def _snapshot(mlp: Mlp):
-    return [w.copy() for w in mlp.weights], [b.copy() for b in mlp.biases]
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (grad * grad)
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** t)
+    mlp.params -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def fit_mlp(mlp: Mlp, inputs, targets, max_epochs: int, patience: int,
-            rng: np.random.Generator, loss_grad: Optional[Callable] = None) -> TrainReport:
+            rng: np.random.Generator, loss_grad: Callable = mse_loss_grad) -> TrainReport:
     """Mini-batch Adam training with early stopping.
 
     A VAL_FRACTION split is held aside; training stops when the validation
@@ -205,8 +203,6 @@ def fit_mlp(mlp: Mlp, inputs, targets, max_epochs: int, patience: int,
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 training rows, got {n}")
-    if loss_grad is None:
-        loss_grad = mse_loss_grad
 
     n_val = max(1, int(round(VAL_FRACTION * n)))
     if n_val >= n:
@@ -219,11 +215,10 @@ def fit_mlp(mlp: Mlp, inputs, targets, max_epochs: int, patience: int,
 
     adam = adam_init(mlp)
     best_val = np.inf
-    best_params = _snapshot(mlp)
+    best_params = mlp.params.copy()
     stale = 0
     step_losses: list = []
     val_losses: list = []
-    epochs_run = 0
 
     for epoch in range(max_epochs):
         order = rng.permutation(n_tr)
@@ -233,24 +228,22 @@ def fit_mlp(mlp: Mlp, inputs, targets, max_epochs: int, patience: int,
             loss, grad_out = loss_grad(out, y_tr[idx])
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite training loss at epoch {epoch}")
-            grads = backward_from_output_grad(mlp, acts, grad_out)
-            adam_step(adam, mlp, grads)
+            adam_step(adam, mlp, backward_from_output_grad(mlp, acts, grad_out))
             step_losses.append(loss)
         val_out, _ = forward_batch(mlp, x_val)
         val_loss, _ = loss_grad(val_out, y_val)
         val_losses.append(val_loss)
-        epochs_run = epoch + 1
         if val_loss < best_val:
             best_val = val_loss
-            best_params = _snapshot(mlp)
+            best_params = mlp.params.copy()
             stale = 0
         else:
             stale += 1
             if stale >= patience:
                 break
 
-    mlp.weights, mlp.biases = best_params
-    return TrainReport(epochs=epochs_run, best_val_loss=float(best_val),
+    mlp.params[...] = best_params
+    return TrainReport(epochs=len(val_losses), best_val_loss=float(best_val),
                        step_losses=step_losses, val_losses=val_losses)
 
 
@@ -271,15 +264,12 @@ def mlp_from_payload(payload: dict) -> Mlp:
         raise ValueError(f"not an mlp payload: kind={payload.get('kind')!r}")
     if payload["activation"] != "tanh":
         raise ValueError(f"unknown activation {payload['activation']!r}")
-    dims = tuple(payload["layer_dims"])
-    n_layers = len(dims) - 1
+    mlp = _zeros(tuple(payload["layer_dims"]))
+    n_layers = len(mlp.weights)
     if len(payload["weights"]) != n_layers or len(payload["biases"]) != n_layers:
-        raise ValueError(f"layer_dims {dims} need {n_layers} weights and biases, got "
-                         f"{len(payload['weights'])} and {len(payload['biases'])}")
-    weights, biases = [], []
-    for l, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        weights.append(check_shape(f"weight {l}", decode_floats(payload["weights"][l]),
-                                   (fan_out, fan_in)))
-        biases.append(check_shape(f"bias {l}", decode_floats(payload["biases"][l]),
-                                  (fan_out,)))
-    return Mlp(layer_dims=dims, weights=weights, biases=biases)
+        raise ValueError(f"layer_dims {mlp.layer_dims} need {n_layers} weights and biases, "
+                         f"got {len(payload['weights'])} and {len(payload['biases'])}")
+    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        w[...] = check_shape(f"weight {l}", decode_floats(payload["weights"][l]), w.shape)
+        b[...] = check_shape(f"bias {l}", decode_floats(payload["biases"][l]), b.shape)
+    return mlp

@@ -114,7 +114,7 @@ def fixed_decoder(threshold=0.75):
                     frequencies=rng.standard_normal((6, 2)),
                     phases=rng.uniform(0.0, 2.0 * np.pi, size=6))
     mlp = mlp_init([2, 5, 6], rng)
-    mlp.biases[1] = rng.standard_normal(6)
+    mlp.biases[1][...] = rng.standard_normal(6)
     dec = DecoderEmbedding(feature_map=fm, regressor=mlp,
                            summary_mean=np.array([0.5, -1.0]),
                            summary_std=np.array([2.0, 0.25]),
@@ -127,8 +127,9 @@ def fixed_decoder(threshold=0.75):
 def mlp_backward(mlp: Mlp, inputs, targets):
     """MSE loss and exact parameter gradients on a batch.
 
-    Returns (loss, Gradients). Loss is the batch mean of the squared
-    Euclidean error between network outputs and targets.
+    Returns (loss, gradient), the gradient flat and laid out as mlp.params.
+    Loss is the batch mean of the squared Euclidean error between network
+    outputs and targets.
     """
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import fill_the_disk, fixed_decoder, hex_encoded
 
+import mdsum.harness
 from mdsum.adaptation import adapt
 from mdsum.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from mdsum.harness import config_from_dict, config_hash
@@ -57,6 +58,28 @@ def test_stagewise_commands_reuse_caches(bench_run, config_path, capsys):
         assert code == EXIT_OK, cmd
     out = capsys.readouterr().out
     assert "pool:" in out and "decoder:" in out and "results:" in out
+
+
+TINY_OUP = {**{k: v for k, v in TINY.items() if k not in ("task", "d", "contamination")},
+            "task": "oup", "n_obs": 10, "horizon": 8, "contamination": [{"eps": 0.5}]}
+
+
+@pytest.mark.parametrize("config", [TINY, TINY_OUP], ids=["analytic", "mdn"])
+def test_a_warm_train_reads_no_pool(tmp_path, monkeypatch, capsys, config):
+    # the second train finds both models cached, so it neither loads nor builds the pool
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["train", "--config", str(path), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+
+    def no_pool(*args):
+        raise AssertionError("a warm train read or built the pool")
+
+    monkeypatch.setattr(mdsum.harness, "load_pool", no_pool)
+    monkeypatch.setattr(mdsum.harness, "build_training_pool", no_pool)
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[:2] == lines[2:]  # the same decoder and engine
 
 
 def test_summarize_prints_table(bench_run, tmp_path, capsys):

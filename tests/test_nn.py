@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,13 @@ from mdsum import nn
 from mdsum.nn import (Mlp, adam_init, adam_step, fit_mlp, forward_batch, mlp_forward,
                       mlp_from_payload, mlp_init, mlp_to_payload, mlp_vjp)
 from mdsum.util import NumericalError, derive_rng
+
+
+def _assert_views_of_params(mlp):
+    # every weight and bias is a view into params, laid out layer by layer
+    arrays = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
+    assert all(np.shares_memory(a, mlp.params) for a in arrays)
+    assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), mlp.params)
 
 
 def _zero_mlp(dims):
@@ -25,6 +35,7 @@ def test_init_shapes_and_zero_biases():
     assert [w.shape for w in mlp.weights] == [(4, 2), (3, 4)]
     assert [b.shape for b in mlp.biases] == [(4,), (3,)]
     assert all(np.all(b == 0.0) for b in mlp.biases)
+    _assert_views_of_params(mlp)
 
 
 def test_init_glorot_bounds():
@@ -103,7 +114,8 @@ def test_backward_zero_network_zero_targets():
     mlp = _zero_mlp([2, 3, 2])
     loss, grads = mlp_backward(mlp, np.ones((4, 2)), np.zeros((4, 2)))
     assert loss == 0.0
-    assert all(np.all(g == 0.0) for g in grads.weights + grads.biases)
+    assert grads.shape == mlp.params.shape
+    assert np.all(grads == 0.0)
 
 
 def test_backward_duplicate_batch_invariance():
@@ -114,8 +126,7 @@ def test_backward_duplicate_batch_invariance():
     loss1, g1 = mlp_backward(mlp, x, y)
     loss2, g2 = mlp_backward(mlp, np.vstack([x, x]), np.vstack([y, y]))
     assert loss1 == pytest.approx(loss2, rel=1e-15)
-    for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
+    assert np.allclose(g1, g2, rtol=1e-13, atol=1e-15)
 
 
 def _fd_grad(fn, arr, h=1e-5):
@@ -157,11 +168,8 @@ def test_backward_matches_finite_differences():
         def loss():
             return mlp_backward(mlp, x, y)[0]
 
-        for layer in range(len(mlp.weights)):
-            worst = max(worst, _max_rel_err(grads.weights[layer],
-                                            _fd_grad(loss, mlp.weights[layer])))
-            worst = max(worst, _max_rel_err(grads.biases[layer],
-                                            _fd_grad(loss, mlp.biases[layer])))
+        # perturbing params moves the weight and bias views with it
+        worst = max(worst, _max_rel_err(grads, _fd_grad(loss, mlp.params)))
     assert worst <= 1e-4
 
 
@@ -209,9 +217,7 @@ def test_adam_first_step_is_signed_lr(monkeypatch):
     monkeypatch.setattr(nn, "LEARNING_RATE", 0.01)
     mlp = _zero_mlp([1, 1])
     state = adam_init(mlp)
-    from mdsum.nn import Gradients
-    grads = Gradients(weights=[np.array([[2.5]])], biases=[np.array([-0.3])])
-    adam_step(state, mlp, grads)
+    adam_step(state, mlp, np.array([2.5, -0.3]))  # the weight, then the bias
     assert mlp.weights[0][0, 0] == pytest.approx(-0.01, rel=1e-6)
     assert mlp.biases[0][0] == pytest.approx(0.01, rel=1e-6)
 
@@ -236,22 +242,22 @@ def test_adam_matches_scalar_reference_loop(monkeypatch):
     # keep the bias out of play; the single weight is the decision variable
     monkeypatch.setattr(nn, "LEARNING_RATE", lr)
     state = adam_init(mlp)
-    from mdsum.nn import Gradients
     for t in range(200):
         w = mlp.weights[0][0, 0]
-        grads = Gradients(weights=[np.array([[2.0 * (w - 3.0)]])],
-                          biases=[np.zeros(1)])
-        adam_step(state, mlp, grads)
+        adam_step(state, mlp, np.array([2.0 * (w - 3.0), 0.0]))
         assert mlp.weights[0][0, 0] == pytest.approx(trace[t], rel=0.0, abs=1e-12)
 
 
 def test_adam_rejects_non_finite_gradient():
     mlp = mlp_init([2, 2], np.random.default_rng(0))
+    before = mlp.params.copy()
     state = adam_init(mlp)
-    from mdsum.nn import Gradients
-    grads = Gradients(weights=[np.full((2, 2), np.nan)], biases=[np.zeros(2)])
-    with pytest.raises(NumericalError, match="layer 0"):
-        adam_step(state, mlp, grads)
+    for at in (0, -1):  # a weight of the first layer, a bias of the last
+        grads = np.zeros_like(mlp.params)
+        grads[at] = np.nan
+        with pytest.raises(NumericalError, match="non-finite gradient"):
+            adam_step(state, mlp, grads)
+    assert state.step == 0 and np.array_equal(mlp.params, before)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +292,15 @@ def test_fit_mlp_early_stopping_restores_best(monkeypatch):
     rng = derive_rng(12, "fit")
     x, y = _linear_regression_data(rng, n=128)
     mlp = mlp_init([3, 8, 2], rng)
+    params = mlp.params
     report = fit_mlp(mlp, x, y, 500, 5, rng)
     assert report.epochs < 500  # patience must trigger on a task this small
     out, _ = forward_batch(mlp, x)
     # restored parameters must reproduce a loss consistent with best_val_loss
     assert report.best_val_loss <= min(report.val_losses) + 1e-15
+    # restored in place: the same vector, its views still attached
+    assert mlp.params is params
+    _assert_views_of_params(mlp)
 
 
 def test_fit_mlp_is_deterministic():
@@ -322,10 +332,19 @@ def test_payload_rejects_other_activations_and_mismatched_arrays(edit):
         mlp_from_payload(saved_form(payload))
 
 
+def test_copies_and_pickles_keep_the_views_attached():
+    mlp = mlp_init([4, 7, 3], np.random.default_rng(21))
+    for clone in (copy.copy(mlp), copy.deepcopy(mlp), pickle.loads(pickle.dumps(mlp))):
+        _assert_views_of_params(clone)
+        assert np.array_equal(clone.params, mlp.params)
+    assert not np.shares_memory(copy.deepcopy(mlp).params, mlp.params)
+
+
 def test_payload_round_trip_is_value_exact():
     mlp = mlp_init([4, 7, 3], np.random.default_rng(21))
     clone = mlp_from_payload(saved_form(mlp_to_payload(mlp)))
     assert clone.layer_dims == mlp.layer_dims
+    _assert_views_of_params(clone)
     for a, b in zip(mlp.weights + mlp.biases, clone.weights + clone.biases):
         assert np.array_equal(a, b)
         assert not np.shares_memory(a, b)

@@ -40,6 +40,23 @@ spans = [i for i, name in enumerate(tr.names) if name == "optimize.lbfgs_minimiz
 assert len(spans) == 1, tr.names
 assert type(tr.attrs[spans[0]]["iterations"]) is int, tr.attrs[spans[0]]
 assert "inference.objective" in tr.names, tr.names
+
+# training: 36 of 40 rows in batches of 16 are 3 steps an epoch, 2 epochs
+import mdsum.inference
+mdsum.nn.BATCH_SIZE = 16
+rng = np.random.default_rng(6)
+mlp = mdsum.nn.mlp_init([2, 4, 3], rng)
+mdsum.inference.fit_mlp(mlp, rng.standard_normal((40, 2)), rng.standard_normal((40, 3)),
+                        2, 2, rng)
+names = np.asarray(tr.names, dtype=object)
+(fit_idx,) = np.flatnonzero(names == "nn.fit_mlp")
+assert tr.attrs[int(fit_idx)]["epochs"] == 2
+fit = tr.nearest(["nn.fit_mlp"])
+for name, calls in (("nn.forward_batch", 6 + 2), ("nn.backward", 6), ("nn.adam_step", 6)):
+    inside = (names == name) & (fit >= 0)
+    assert np.sum(inside) == calls, (name, tr.names)
+    assert np.all(tr.durations()[inside] > 0), name
+assert np.all(fit[(names == "nn.backward") | (names == "nn.adam_step")] >= 0)
 """
 
 
@@ -66,7 +83,10 @@ def _run(script, *args):
 
 def test_perfbench_tracer_installs_on_the_package():
     # one traced adapt call: perfbench wraps adaptation.lbfgs_minimize and
-    # reads the iteration count from the second item of its result
+    # reads the iteration count from the second item of its result. Then one
+    # traced fit_mlp: nn.forward_ms, nn.backward_ms and nn.adam_ms divide the
+    # forward, backward and adam_step spans inside it by its adam_step count,
+    # so each must be looked up through its module global, once a step
     _run(SCRIPT, str(ROOT / "tests"))
 
 
