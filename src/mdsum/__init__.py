@@ -15,8 +15,7 @@ from .harness import ExperimentConfig, config_load, run_pipeline, summarize
 from .inference import (AnalyticGaussianEngine, DecoderEmbedding, MdnEngine,
                         decoder_load, decoder_save, engine_load, engine_save,
                         posterior_sample, train_decoder, train_mdn)
-from .kernels import (FeatureMap, build_feature_map, mean_embedding, median_heuristic,
-                      mmd2_exact, mmd2_rff)
+from .kernels import FeatureMap, build_feature_map, mean_embedding, median_heuristic, mmd2_rff
 from .metrics import coverage, predictive_mmd, rmse, sample_mmd, summary_oracle_distance
 from .simulators import TaskSpec, TrainingPool, build_training_pool, make_task
 from .util import NumericalError, derive_rng
@@ -28,7 +27,7 @@ __all__ = [
     "adapt", "apply_contamination", "build_feature_map", "build_training_pool",
     "calibrate_threshold", "config_load", "coverage", "decoder_load",
     "decoder_save", "detect", "derive_rng", "engine_load", "engine_save",
-    "make_task", "mean_embedding", "median_heuristic", "mmd2_exact", "mmd2_rff",
+    "make_task", "mean_embedding", "median_heuristic", "mmd2_rff",
     "posterior_sample", "predictive_mmd", "rmse", "run_pipeline", "sample_mmd",
     "summarize", "summary_oracle_distance", "train_decoder", "train_mdn",
     "__version__",

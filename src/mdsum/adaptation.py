@@ -7,8 +7,8 @@ Given a frozen decoder and an observed dataset, the pipeline is:
    task (``dec.task``, built once when the decoder is trained or loaded)
    and the dataset's empirical mean embedding;
 2. detect: compare the statistic ||mu(s0) - mu_obs||^2 against a threshold
-   calibrated on clean held-out simulations (the (1 - alpha) quantile of the
-   same statistic);
+   calibrated on clean held-out simulations (the (1 - GATE_ALPHA) quantile
+   of the same statistic);
 3. only if flagged, minimize ||mu(s) - mu_obs||^2 over s starting from s0
    with L-BFGS (``optimize.lbfgs_minimize``); the caller queries the
    posterior engine at the minimizer instead.
@@ -37,6 +37,7 @@ from .simulators import make_task  # noqa: F401  (perfbench/tracing.py patches m
 from .util import check_finite
 
 CLIP_BAND = 8.0  # standardized half-width of the band the optimizer starts in
+GATE_ALPHA = 0.05  # the gate's false-alarm rate on clean data
 
 
 @dataclass
@@ -57,23 +58,20 @@ def _statistic(dec: DecoderEmbedding, s, embedding: np.ndarray) -> float:
     return mmd2_rff(dec.feature_map, decoder_embed(dec, s), embedding)
 
 
-def calibrate_threshold(dec: DecoderEmbedding, holdout: HoldoutRecords,
-                        alpha: float = 0.05) -> float:
+def calibrate_threshold(dec: DecoderEmbedding, holdout: HoldoutRecords) -> float:
     """Set the detection threshold from clean held-out records.
 
     The statistic ||mu(s_i) - zbar_i||^2 is computed on every holdout record
-    and the threshold is its (1 - alpha) empirical quantile (linear
+    and the threshold is its (1 - GATE_ALPHA) empirical quantile (linear
     interpolation between order statistics). Stores the value on dec.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     n = holdout.summaries.shape[0]
     if n < 1:
         raise ValueError("holdout is empty")
     stats = np.empty(n)
     for i in range(n):
         stats[i] = _statistic(dec, holdout.summaries[i], holdout.embeddings[i])
-    tau = float(np.quantile(stats, 1.0 - alpha, method="linear"))
+    tau = float(np.quantile(stats, 1.0 - GATE_ALPHA, method="linear"))
     dec.threshold = tau
     return tau
 

@@ -16,9 +16,9 @@ byte-identical for a given config at any parallelism level. Stage timings
 go to the manifest, never to the CSV.
 
 A config is one JSON document holding only the values its callers set;
-the rest (the gate and coverage levels and the mixture size here, the
-learning rate and batch size in nn, the engine in the task's record) are
-constants.
+the rest (the mixture size here, the gate level in adaptation, the
+coverage level in metrics, the learning rate and batch size in nn, the
+engine in the task's record) are constants.
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .adaptation import adapt, calibrate_threshold, detect
+from .adaptation import GATE_ALPHA, adapt, calibrate_threshold, detect
 from .contamination import ContaminationSpec, apply_contamination
 from .inference import (AnalyticGaussianEngine, decoder_hash, decoder_load, decoder_save,
                         engine_hash, engine_load, engine_save, posterior_sample,
                         train_decoder, train_mdn)
 from .kernels import build_feature_map, mean_embedding, median_heuristic
-from .metrics import coverage, predictive_mmd, reference_mmds, rmse, summary_oracle_distance
+from .metrics import (COVERAGE_ALPHA, coverage, predictive_mmd, reference_mmds, rmse,
+                      summary_oracle_distance)
 from .metrics import sample_mmd  # noqa: F401  (perfbench/tracing.py patches sample_mmd here)
 from .nn import BATCH_SIZE, LEARNING_RATE
 from .simulators import TASKS, build_training_pool, load_pool, make_task, save_pool
@@ -82,8 +83,8 @@ class ExperimentConfig:
     master_seed: int = 0
 
     # fixed levels, readable but not settable from a config document
-    alpha: ClassVar[float] = 0.05  # gate false-alarm rate
-    coverage_alpha: ClassVar[float] = 0.05  # credible level of the coverage metric
+    alpha: ClassVar[float] = GATE_ALPHA  # gate false-alarm rate
+    coverage_alpha: ClassVar[float] = COVERAGE_ALPHA  # 1 - credible level of the coverage metric
 
 
 def _is_int(x) -> bool:
@@ -255,7 +256,7 @@ def stage_decoder(cfg: ExperimentConfig, out_dir: Path, pool=None, task=None):
     dec, holdout, _report = train_decoder(pool, fm, derive_rng(seed, "decoder"),
                                           cfg.max_epochs, cfg.patience,
                                           holdout_frac=cfg.holdout_frac)
-    calibrate_threshold(dec, holdout, alpha=cfg.alpha)
+    calibrate_threshold(dec, holdout)
     decoder_save(dec, path)
     return dec, None, path
 
@@ -342,7 +343,7 @@ def _eval_item(item):
     for method, s_query, samples, row_pmmd, row_pred in zip(cfg.methods, queries, sample_sets,
                                                            post_mmds, pred_mmds):
         row_rmse = rmse(samples, theta_star)
-        row_cov = coverage(samples, theta_star, alpha=cfg.coverage_alpha)
+        row_cov = coverage(samples, theta_star)
         row_dist = summary_oracle_distance(s_query, s_oracle)
         lines.append(",".join([
             task.name, method, _format_float(cell["eps"]), _format_float(cell["delta"]),
@@ -476,6 +477,11 @@ def _evaluate_to_csv(cfg: ExperimentConfig, task, dec, engine, csv_path: Path,
 
 _NUMERIC_COLS = ("rmse", "coverage", "posterior_mmd", "predictive_mmd",
                  "summary_oracle_dist")
+# a summary row: its cell, its size, each numeric column's median and IQR,
+# and the detection rate
+_SUMMARY_COLS = ("task", "method", "eps", "delta", "n",
+                 *(f"{col}_{stat}" for col in _NUMERIC_COLS for stat in ("median", "iqr")),
+                 "detected_rate")
 
 
 def read_results_strings(path):
@@ -531,16 +537,14 @@ def summarize(csv_paths):
         cell = groups[key]
         out = {"task": key[0], "method": key[1], "eps": key[2], "delta": key[3],
                "n": len(cell), "detected_rate": sum(r["detected"] for r in cell) / len(cell)}
-        for col in ("rmse", "coverage", "posterior_mmd", "predictive_mmd",
-                    "summary_oracle_dist"):
+        for col in _NUMERIC_COLS:
             vals = [r[col] for r in cell if r[col] is not None]
             med, iqr = _median_iqr(vals) if vals else (None, None)
             out[f"{col}_median"], out[f"{col}_iqr"] = med, iqr
         summary_rows.append(out)
 
-    cols = ["task", "method", "eps", "delta", "n", "rmse_median", "rmse_iqr",
-            "coverage_median", "posterior_mmd_median", "predictive_mmd_median",
-            "summary_oracle_dist_median", "detected_rate"]
+    # the table shows one IQR, rmse's
+    cols = [c for c in _SUMMARY_COLS if not c.endswith("_iqr") or c == "rmse_iqr"]
     widths = {c: max(len(c), 12) for c in cols}
     def fmt(v):
         if v is None:
@@ -556,15 +560,9 @@ def summarize(csv_paths):
 
 
 def write_summary_csv(summary_rows, path) -> None:
-    cols = ["task", "method", "eps", "delta", "n",
-            "rmse_median", "rmse_iqr", "coverage_median", "coverage_iqr",
-            "posterior_mmd_median", "posterior_mmd_iqr",
-            "predictive_mmd_median", "predictive_mmd_iqr",
-            "summary_oracle_dist_median", "summary_oracle_dist_iqr",
-            "detected_rate"]
     with replacing(path) as fh:
-        fh.write((",".join(cols) + "\n").encode("utf-8"))
+        fh.write((",".join(_SUMMARY_COLS) + "\n").encode("utf-8"))
         for r in summary_rows:
             vals = ("" if v is None else repr(v) if isinstance(v, float) else str(v)
-                    for v in map(r.get, cols))
+                    for v in map(r.get, _SUMMARY_COLS))
             fh.write((",".join(vals) + "\n").encode("utf-8"))

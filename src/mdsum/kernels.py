@@ -13,7 +13,6 @@ distance between mean embeddings estimates the biased (V-statistic) MMD^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -32,10 +31,6 @@ PAIR_BLOCK = 1 << 16
 # bytes of pair differences the sampled path gathers at a time on rows of
 # PAIRWISE_WIDTH or more columns, which bounds its temporaries at any width
 GATHER_BYTES = 1 << 24
-# pair-code count up to which _sample_distinct_pairs de-duplicates with a
-# one-byte-per-code mask (64 MiB, about 11 600 rows); above it, a mask is
-# too large, and a sorted array of the codes drawn so far takes its place
-MASK_BYTES = 1 << 26
 
 
 @dataclass
@@ -53,28 +48,21 @@ def _sample_distinct_pairs(n_rows: int, n_pairs: int, rng: np.random.Generator):
     if n_pairs > total:
         raise ValueError(f"cannot draw {n_pairs} distinct pairs from {total}")
     # each round draws as many pair codes as are still missing and keeps the
-    # new ones; when n_pairs is a large share of total (half of all pairs at
-    # 2000 rows and 1M pairs) this takes many rounds
-    if total <= MASK_BYTES:
-        seen = np.zeros(total, dtype=bool)
-        count = 0
-        while count < n_pairs:
-            seen[rng.integers(0, total, size=n_pairs - count)] = True
-            count = int(np.count_nonzero(seen))
-        codes = np.flatnonzero(seen)
-    else:
-        codes = np.empty(0, dtype=np.int64)  # sorted and distinct
-        while codes.size < n_pairs:
-            draw = rng.integers(0, total, size=n_pairs - codes.size)
-            draw.sort()
-            draw = draw[np.r_[True, draw[1:] != draw[:-1]]]
-            if codes.size == 0:  # the first and largest round needs no merge
-                codes = draw
-                continue
-            # one np.insert of the codes not yet held keeps codes sorted
-            pos = np.searchsorted(codes, draw)
-            fresh = codes[np.minimum(pos, codes.size - 1)] != draw
-            codes = np.insert(codes, pos[fresh], draw[fresh])
+    # new ones in codes, sorted and distinct; when n_pairs is a large share
+    # of total (half of all pairs at 2000 rows and 1M pairs) this takes many
+    # rounds
+    codes = np.empty(0, dtype=np.int64)
+    while codes.size < n_pairs:
+        draw = rng.integers(0, total, size=n_pairs - codes.size)
+        draw.sort()
+        draw = draw[np.r_[True, draw[1:] != draw[:-1]]]
+        if codes.size == 0:  # the first and largest round needs no merge
+            codes = draw
+            continue
+        # one np.insert of the codes not yet held keeps codes sorted
+        pos = np.searchsorted(codes, draw)
+        fresh = codes[np.minimum(pos, codes.size - 1)] != draw
+        codes = np.insert(codes, pos[fresh], draw[fresh])
     # decode pair rank to (i, j), i < j, pairs ordered (0,1),(0,2),...,(1,2),...;
     # row k's codes start at starts[k], and codes is sorted, so row k repeats
     # once per code between starts[k] and starts[k + 1]
@@ -82,18 +70,6 @@ def _sample_distinct_pairs(n_rows: int, n_pairs: int, rng: np.random.Generator):
     starts = k * (2 * n_rows - k - 1) // 2
     i = np.repeat(k, np.diff(np.searchsorted(codes, starts), append=codes.size))
     j = codes - starts[i] + i + 1
-    return i, j
-
-
-@lru_cache(maxsize=2)
-def _default_pairs(n_rows: int, n_pairs: int):
-    """_sample_distinct_pairs on a fresh default_rng(0), drawn once per size.
-
-    The arrays are read-only, since every caller shares them.
-    """
-    i, j = _sample_distinct_pairs(n_rows, n_pairs, np.random.default_rng(0))
-    i.flags.writeable = False
-    j.flags.writeable = False
     return i, j
 
 
@@ -114,11 +90,10 @@ def median_heuristic(data, rng: np.random.Generator | None = None) -> float:
     """Median pairwise Euclidean distance, floored at BANDWIDTH_FLOOR.
 
     When the number of distinct pairs exceeds MAX_PAIRS, a uniform
-    without-replacement subsample of MAX_PAIRS pairs is used; pass rng to
-    control it (rng then advances on every such call; with all pairs
-    measured it is not drawn from). Without rng the pairs come from a fixed
-    stream, so results are reproducible regardless; they depend only on
-    (n, MAX_PAIRS), and are drawn once per such size and reused.
+    without-replacement subsample of MAX_PAIRS pairs is used, drawn from
+    rng (which then advances on every such call; with all pairs measured it
+    is not drawn from). Without rng each call draws from a fresh
+    np.random.default_rng(0), so the pairs depend only on the row count.
 
     On the sampled path every distance has the bits of
     np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=1)). Rows narrower than
@@ -137,9 +112,8 @@ def median_heuristic(data, rng: np.random.Generator | None = None) -> float:
         dists = pdist(x, metric="euclidean")
     else:
         if rng is None:
-            i, j = _default_pairs(n, MAX_PAIRS)
-        else:
-            i, j = _sample_distinct_pairs(n, MAX_PAIRS, rng)
+            rng = np.random.default_rng(0)
+        i, j = _sample_distinct_pairs(n, MAX_PAIRS, rng)
         # take gathers far faster than fancy indexing, and the in-place
         # steps keep every distance bit-identical
         dists = np.zeros(MAX_PAIRS)
@@ -245,11 +219,6 @@ def mmd2_exact_many(bandwidth: float, sample_sets, reference) -> list[float]:
         check_finite("sample set", x)
         out.append(float(_self_mean(gamma, x) + kyy - 2.0 * _kernel_mean(gamma, x, y)))
     return out
-
-
-def mmd2_exact(bandwidth: float, xs, ys) -> float:
-    """mmd2_exact_many for the one set xs against ys."""
-    return mmd2_exact_many(bandwidth, [xs], ys)[0]
 
 
 def feature_map_to_payload(fm: FeatureMap) -> dict:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import median_heuristic, mmd2_exact, mmd2_exact_many
+from .kernels import median_heuristic, mmd2_exact_many
 from .simulators import TaskSpec, make_task  # noqa: F401  (perfbench/tracing.py patches make_task here)
 from .util import as_2d_f64
+
+COVERAGE_ALPHA = 0.05  # coverage's intervals have credible level 1 - COVERAGE_ALPHA
 
 
 def rmse(samples, theta_star) -> float:
@@ -26,37 +28,37 @@ def rmse(samples, theta_star) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def coverage(samples, theta_star, alpha: float = 0.05) -> float:
-    """Fraction of dimensions whose central (1 - alpha) interval covers the truth.
+def coverage(samples, theta_star) -> float:
+    """Fraction of dimensions whose central (1 - COVERAGE_ALPHA) interval
+    covers the truth.
 
     Intervals are empirical [alpha/2, 1 - alpha/2] quantiles per dimension.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     s = as_2d_f64("samples", samples)
     t = np.asarray(theta_star, dtype=np.float64)
     if t.shape != (s.shape[1],):
         raise ValueError(f"theta_star must have shape ({s.shape[1]},), got {t.shape}")
-    lo = np.quantile(s, alpha / 2.0, axis=0)
-    hi = np.quantile(s, 1.0 - alpha / 2.0, axis=0)
+    lo = np.quantile(s, COVERAGE_ALPHA / 2.0, axis=0)
+    hi = np.quantile(s, 1.0 - COVERAGE_ALPHA / 2.0, axis=0)
     return float(np.mean((lo <= t) & (t <= hi)))
 
 
 def sample_mmd(samples_a, samples_b) -> float:
     """MMD (square root of the biased estimate) between two sample sets.
 
-    The RBF bandwidth is the median heuristic on the pooled rows (sampled
-    over kernels.MAX_PAIRS pairs when there are more). Swapping the arguments
-    changes the value in its last bits, as in mmd2_exact; on the sampled
-    path it changes more, since the fixed pair sample then picks other
-    pairs of the swapped stack.
+    The RBF bandwidth is the median heuristic on the stacked rows, a then b
+    (over a default_rng(0) sample of kernels.MAX_PAIRS pairs when there are
+    more), and the estimate is mmd2_exact_many's for a against b. Swapping
+    the arguments changes the value in its last bits, as the cross term
+    then sums in another order; on the sampled path it changes more, since
+    the same pair sample then picks other rows of the swapped stack.
     """
     a = as_2d_f64("samples_a", samples_a)
     b = as_2d_f64("samples_b", samples_b)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     bandwidth = median_heuristic(np.vstack([a, b]))
-    return float(np.sqrt(max(mmd2_exact(bandwidth, a, b), 0.0)))
+    return float(np.sqrt(max(mmd2_exact_many(bandwidth, [a], b)[0], 0.0)))
 
 
 def reference_mmds(sample_sets, reference) -> list[float]:

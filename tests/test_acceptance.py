@@ -32,7 +32,7 @@ from mdsum.harness import (ARTIFACT_VERSION, config_from_dict, read_results_csv,
                            run_pipeline, stage_decoder, stage_engine)
 from mdsum.inference import decoder_hash, decoder_load, engine_hash, engine_load, train_mdn
 from mdsum.kernels import (build_feature_map, mean_embedding, median_heuristic,
-                           mmd2_exact, mmd2_rff)
+                           mmd2_exact_many, mmd2_rff)
 from mdsum.nn import mlp_init
 from mdsum.optimize import ObjectiveEval, lbfgs_minimize
 from mdsum.simulators import build_training_pool, gaussian_posterior, make_task
@@ -126,7 +126,7 @@ def test_criterion_01_feature_map_fidelity():
     x = rng.standard_normal((200, 2))
     y = rng.standard_normal((200, 2)) + 0.8
     ell = median_heuristic(np.vstack([x, y]))
-    exact = mmd2_exact(ell, x, y)
+    exact = mmd2_exact_many(ell, [x], y)[0]
     errs = []
     for s in range(20):
         fm = build_feature_map(2, 512, ell, derive_rng(MASTER_SEED, "acceptance-rff", s))

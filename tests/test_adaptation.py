@@ -38,7 +38,7 @@ def calibrated_decoder():
     fm = build_feature_map(2, 64, bw, derive_rng(23, "fm"))
     dec, holdout, _ = train_decoder(pool, fm, derive_rng(23, "train"),
                                     max_epochs=150, patience=20)
-    calibrate_threshold(dec, holdout, alpha=0.05)
+    calibrate_threshold(dec, holdout)
     return task, dec
 
 
@@ -55,25 +55,22 @@ def zero_prediction_decoder():
 # threshold calibration and detection
 # ---------------------------------------------------------------------------
 
-def test_calibrate_threshold_quantile_arithmetic():
+def test_calibrate_threshold_quantile_arithmetic(monkeypatch):
     # statistics are ||0 - z_i||^2; choosing z_i = sqrt(i) makes them 1..100,
-    # whose 0.95 linear-interpolation quantile is 95.05
+    # whose 0.95 linear-interpolation quantile is 95.05, and 0.9's 90.1
     dec = zero_prediction_decoder()
     values = np.arange(1.0, 101.0)
     holdout = HoldoutRecords(summaries=np.zeros((100, 1)),
                              embeddings=np.sqrt(values)[:, None])
-    tau = calibrate_threshold(dec, holdout, alpha=0.05)
+    tau = calibrate_threshold(dec, holdout)
     assert tau == pytest.approx(95.05, abs=1e-12)
     assert dec.threshold == tau
+    monkeypatch.setattr(adaptation, "GATE_ALPHA", 0.1)
+    assert calibrate_threshold(dec, holdout) == pytest.approx(90.1, abs=1e-12)
 
 
 def test_calibrate_threshold_validation():
     dec = zero_prediction_decoder()
-    holdout = HoldoutRecords(summaries=np.zeros((10, 1)), embeddings=np.ones((10, 1)))
-    with pytest.raises(ValueError):
-        calibrate_threshold(dec, holdout, alpha=0.0)
-    with pytest.raises(ValueError):
-        calibrate_threshold(dec, holdout, alpha=1.0)
     with pytest.raises(ValueError):
         calibrate_threshold(dec, HoldoutRecords(summaries=np.zeros((0, 1)),
                                                 embeddings=np.zeros((0, 1))))

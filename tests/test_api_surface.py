@@ -138,7 +138,7 @@ def test_every_defaulted_value_is_set_outside_the_tests():
         f"allowed but now set or gone: {sorted(set(UNSET_ALLOWED) - set(unset))}")
 
 
-SETTABLE_CEILING = 39
+SETTABLE_CEILING = 37
 
 
 def test_settable_values_stay_under_the_ceiling():

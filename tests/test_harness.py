@@ -580,6 +580,10 @@ def test_summarize_hand_built_rows(tmp_path):
     assert mds["summary_oracle_dist_median"] == pytest.approx(2.0)
     assert mds["detected_rate"] == pytest.approx(0.5)
     assert "npe_mds" in table and "npe_plain" in table
+    assert table.split("\n")[0].split() == [
+        "task", "method", "eps", "delta", "n", "rmse_median", "rmse_iqr", "coverage_median",
+        "posterior_mmd_median", "predictive_mmd_median", "summary_oracle_dist_median",
+        "detected_rate"]
 
 
 def test_summarize_merges_multiple_csvs(tmp_path):
@@ -599,7 +603,11 @@ def test_write_summary_csv_round_trip(tmp_path):
     write_summary_csv(summary_rows, out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
-    assert lines[0].startswith("task,method,eps,delta,n,rmse_median")
+    # derived from the results columns; the header's bytes stay put
+    assert lines[0] == (
+        "task,method,eps,delta,n,rmse_median,rmse_iqr,coverage_median,coverage_iqr,"
+        "posterior_mmd_median,posterior_mmd_iqr,predictive_mmd_median,predictive_mmd_iqr,"
+        "summary_oracle_dist_median,summary_oracle_dist_iqr,detected_rate")
 
 
 def test_a_failed_summary_write_keeps_the_old_file(tmp_path, monkeypatch):

@@ -9,8 +9,8 @@ from scipy.spatial.distance import cdist, pdist
 from mdsum import kernels
 from mdsum.kernels import (BANDWIDTH_FLOOR, GATHER_BYTES, FeatureMap, _sample_distinct_pairs,
                            _self_mean, build_feature_map, feature_map_from_payload,
-                           feature_map_to_payload, mean_embedding, median_heuristic, mmd2_exact,
-                           mmd2_rff, rff_matrix)
+                           feature_map_to_payload, mean_embedding, median_heuristic,
+                           mmd2_exact_many, mmd2_rff, rff_matrix)
 from mdsum.util import NumericalError, derive_rng
 
 
@@ -136,14 +136,15 @@ def test_median_in_place_equals_numpy_median(size):
         assert kernels._median_in_place(v.copy()) == expected
 
 
-def test_median_sampled_column_path_is_bounded():
-    # past the default pairs, drawn before the trace, the column path holds
-    # the distances, one transposed copy of the rows and a few PAIR_BLOCK
+def test_median_sampled_column_path_is_bounded(monkeypatch):
+    # past the pairs, drawn before the trace, the column path holds the
+    # distances, one transposed copy of the rows and a few PAIR_BLOCK
     # temporaries: never a full-length difference, as the row gather's
     # (n_pairs, width) would be
     x = derive_rng(16, "median").standard_normal((3000, 7))
     n_pairs = kernels.MAX_PAIRS
-    kernels._default_pairs(3000, n_pairs)
+    pairs = _sample_distinct_pairs(3000, n_pairs, np.random.default_rng(0))
+    monkeypatch.setattr(kernels, "_sample_distinct_pairs", lambda *_: pairs)
     tracemalloc.start()
     try:
         median_heuristic(x)
@@ -153,20 +154,14 @@ def test_median_sampled_column_path_is_bounded():
     assert peak < 8 * n_pairs + x.nbytes + 8 * 8 * kernels.PAIR_BLOCK
 
 
-def test_median_default_pairs_are_drawn_once_and_read_only(monkeypatch):
-    n, k = 300, 5000
-    x = derive_rng(10, "median").standard_normal((n, 3))
-    monkeypatch.setattr(kernels, "MAX_PAIRS", k)
-    kernels._default_pairs.cache_clear()
-    first = median_heuristic(x)
-    assert median_heuristic(x) == first
-    info = kernels._default_pairs.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    i, j = kernels._default_pairs(n, k)
-    assert kernels._default_pairs(n, k)[0] is i
-    for arr in (i, j):
-        with pytest.raises(ValueError):
-            arr[0] = 0
+def test_median_without_rng_draws_from_a_fresh_default_stream():
+    # with no rng every sampled call starts its own default_rng(0), so two
+    # calls in a row agree with each other and with a passed default_rng(0)
+    x = derive_rng(10, "median").standard_normal((1500, 3))  # 1 123 750 pairs
+    assert x.shape[0] * (x.shape[0] - 1) // 2 > kernels.MAX_PAIRS
+    expected = median_heuristic(x, rng=np.random.default_rng(0))
+    assert median_heuristic(x) == expected
+    assert median_heuristic(x) == expected
 
 
 def test_median_passed_rng_draws_on_every_call(monkeypatch):
@@ -216,11 +211,7 @@ def _set_sampler(n_rows, n_pairs, rng):
     return i, j, rounds
 
 
-@pytest.mark.parametrize("mask_bytes", [None, 0])
-def test_sample_distinct_pairs_draws_as_the_set_sampler(mask_bytes, monkeypatch):
-    # mask_bytes 0 sends the same sizes down the sorted-insert path
-    if mask_bytes is not None:
-        monkeypatch.setattr(kernels, "MASK_BYTES", mask_bytes)
+def test_sample_distinct_pairs_draws_as_the_set_sampler():
     for n, k in ((30, 434), (200, 15_000), (700, 200_000)):
         ref_rng, rng = derive_rng(9, "pairs", n), derive_rng(9, "pairs", n)
         ref_i, ref_j, rounds = _set_sampler(n, k, ref_rng)
@@ -233,13 +224,12 @@ def test_sample_distinct_pairs_draws_as_the_set_sampler(mask_bytes, monkeypatch)
 
 def test_sample_distinct_pairs_sparse_draws_as_the_set_sampler():
     n, k = 12_000, 1000
-    assert n * (n - 1) // 2 > kernels.MASK_BYTES
     ref_i, ref_j, _ = _set_sampler(n, k, derive_rng(10, "pairs"))
     i, j = _sample_distinct_pairs(n, k, derive_rng(10, "pairs"))
     assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
 
 
-@pytest.mark.parametrize("n_rows", [2000, 100_000])  # mask, sorted insert
+@pytest.mark.parametrize("n_rows", [2000, 100_000])  # many rounds, few rounds
 def test_sample_distinct_pairs_memory_is_bounded(n_rows):
     n_pairs = 1_000_000
     tracemalloc.start()
@@ -384,12 +374,12 @@ def test_mean_embedding_matches_loop_oracle():
 
 def test_mmd2_exact_identical_samples_is_zero():
     x = derive_rng(16, "x").standard_normal((20, 2))
-    assert abs(mmd2_exact(1.0, x, x)) < 1e-12
+    assert abs(mmd2_exact_many(1.0, [x], x)[0]) < 1e-12
 
 
 def test_mmd2_exact_two_point_closed_form():
     for c, ell in [(1.0, 1.0), (3.0, 0.5), (0.2, 2.0)]:
-        got = mmd2_exact(ell, np.array([[0.0]]), np.array([[c]]))
+        got = mmd2_exact_many(ell, [np.array([[0.0]])], np.array([[c]]))[0]
         want = 2.0 - 2.0 * np.exp(-c * c / (2 * ell * ell))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -403,8 +393,8 @@ def test_mmd2_exact_separates_distributions():
         shifted = rng.standard_normal((200, 1)) + 3.0
         pool = np.vstack([same_a, shifted])
         ell = median_heuristic(pool)
-        d_same = mmd2_exact(ell, same_a, same_b)
-        d_diff = mmd2_exact(ell, same_a, shifted)
+        d_same = mmd2_exact_many(ell, [same_a], same_b)[0]
+        d_diff = mmd2_exact_many(ell, [same_a], shifted)[0]
         assert 0.0 < d_diff <= 2.0
         hits += d_diff > d_same
     assert hits >= 95
@@ -424,7 +414,7 @@ def test_mmd2_exact_matches_three_temporary_formula():
         kxx = (n_x + 2.0 * np.exp(-gamma * pdist(x, metric="sqeuclidean")).sum()) / (n_x * n_x)
         kyy = (n_y + 2.0 * np.exp(-gamma * pdist(y, metric="sqeuclidean")).sum()) / (n_y * n_y)
         kxy = np.exp(-gamma * cdist(x, y, metric="sqeuclidean")).mean()
-        assert mmd2_exact(ell, x, y) == float(kxx + kyy - 2.0 * kxy)
+        assert mmd2_exact_many(ell, [x], y)[0] == float(kxx + kyy - 2.0 * kxy)
 
 
 def test_triangle_self_term_matches_the_full_matrix_mean():
@@ -444,11 +434,12 @@ def test_mmd2_exact_symmetry_and_validation():
     for _ in range(20):
         n_x, n_y = rng.integers(20, 401, size=2)
         x, y = rng.standard_normal((n_x, 2)), rng.standard_normal((n_y, 2)) + 0.5
-        assert mmd2_exact(1.3, x, y) == pytest.approx(mmd2_exact(1.3, y, x), rel=1e-12)
+        assert mmd2_exact_many(1.3, [x], y)[0] == pytest.approx(mmd2_exact_many(1.3, [y], x)[0],
+                                                                rel=1e-12)
     with pytest.raises(ValueError):
-        mmd2_exact(1.0, x, rng.standard_normal((5, 3)))
+        mmd2_exact_many(1.0, [x], rng.standard_normal((5, 3)))
     with pytest.raises(ValueError):
-        mmd2_exact(-1.0, x, y)
+        mmd2_exact_many(-1.0, [x], y)
 
 
 def test_mmd2_rff_matches_exact_within_tolerance():
@@ -457,7 +448,7 @@ def test_mmd2_rff_matches_exact_within_tolerance():
     x = rng.standard_normal((200, 2))
     y = rng.standard_normal((200, 2)) + 0.8
     ell = median_heuristic(np.vstack([x, y]))
-    exact = mmd2_exact(ell, x, y)
+    exact = mmd2_exact_many(ell, [x], y)[0]
     errs = []
     for seed in range(20):
         fm = build_feature_map(2, 512, ell, derive_rng(19, "fm", seed))
@@ -472,7 +463,7 @@ def test_mmd2_rff_error_decreases_with_features():
     x = rng.standard_normal((200, 2))
     y = rng.standard_normal((200, 2)) + 1.0
     ell = median_heuristic(np.vstack([x, y]))
-    exact = mmd2_exact(ell, x, y)
+    exact = mmd2_exact_many(ell, [x], y)[0]
     med_err = []
     for n_feat in (32, 128, 512):
         errs = []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
+from mdsum import metrics
 from mdsum.kernels import median_heuristic
 from mdsum.metrics import (coverage, predictive_mmd, reference_mmds, rmse, sample_mmd,
                            summary_oracle_distance)
@@ -53,17 +54,16 @@ def test_coverage_mixed_dimensions():
     assert coverage(samples, np.array([50.0, 2.0])) == 0.5
 
 
-def test_coverage_alpha_controls_width():
+def test_coverage_alpha_controls_width(monkeypatch):
     samples = np.arange(1.0, 101.0)[:, None]
     # a tighter interval (larger alpha) stops covering the tail point
-    assert coverage(samples, np.array([6.0]), alpha=0.05) == 1.0
-    assert coverage(samples, np.array([6.0]), alpha=0.2) == 0.0
+    assert coverage(samples, np.array([6.0])) == 1.0
+    monkeypatch.setattr(metrics, "COVERAGE_ALPHA", 0.2)
+    assert coverage(samples, np.array([6.0])) == 0.0
 
 
 def test_coverage_validation():
     samples = np.zeros((10, 2))
-    with pytest.raises(ValueError):
-        coverage(samples, np.zeros(2), alpha=0.0)
     with pytest.raises(ValueError):
         coverage(samples, np.zeros(3))
 
@@ -80,7 +80,7 @@ def test_sample_mmd_zero_on_identical_sets():
 
 def test_sample_mmd_symmetry():
     # below the pair sample the bandwidth is exact either way round, and
-    # mmd2_exact agrees to roundoff under the swap
+    # the exact MMD agrees to roundoff under the swap
     rng = derive_rng(61, "sym")
     for _ in range(20):
         n_a, n_b = rng.integers(20, 401, size=2)

@@ -2,12 +2,13 @@
 
 perfbench/tracing.py wraps mdsum functions at the module attributes they
 are looked up by, so a src change that drops or renames one of them breaks
-every traced benchmark run with AttributeError, and one that changes the
-optimizer's (x, iterations, converged) result breaks its iteration count.
-perfbench/workloads.py
-reads the saved decoder file with its own parser, so a change to the file
-format breaks every oup-serve run. Both run in a fresh interpreter: install
-patches the package for the life of the process.
+every traced benchmark run with AttributeError. One that changes the
+optimizer's (x, iterations, converged) result breaks its iteration count,
+and one that calls a traced function by another name makes its metrics
+read 0. perfbench/workloads.py reads the saved decoder file with its own
+parser, so a change to the file format breaks every oup-serve run. Both run
+in a fresh interpreter: install patches the package for the life of the
+process.
 """
 
 import os
@@ -57,6 +58,20 @@ for name, calls in (("nn.forward_batch", 6 + 2), ("nn.backward", 6), ("nn.adam_s
     assert np.sum(inside) == calls, (name, tr.names)
     assert np.all(tr.durations()[inside] > 0), name
 assert np.all(fit[(names == "nn.backward") | (names == "nn.adam_step")] >= 0)
+
+# kernels: the median heuristic of evaluation and of set-up
+import mdsum.harness
+import mdsum.metrics
+from pathlib import Path
+ref = np.random.default_rng(7).standard_normal((30, 2))
+mdsum.metrics.reference_mmds([ref + 0.5], ref)
+assert tr.names.count("kernels.median_heuristic_eval") == 1, tr.names
+cfg = mdsum.harness.config_from_dict({"task": "gaussian", "n_obs": 5, "n_train": 100,
+                                      "n_features": 8, "max_epochs": 2, "patience": 2})
+mdsum.harness.stage_decoder(cfg, Path(sys.argv[4]))
+names = np.asarray(tr.names, dtype=object)
+(setup_idx,) = np.flatnonzero(names == "kernels.median_heuristic_setup")
+assert tr.attrs[int(setup_idx)]["peak_bytes"] > 0, tr.attrs[int(setup_idx)]
 """
 
 
@@ -81,13 +96,17 @@ def _run(script, *args):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_perfbench_tracer_installs_on_the_package():
+def test_perfbench_tracer_installs_on_the_package(tmp_path):
     # one traced adapt call: perfbench wraps adaptation.lbfgs_minimize and
     # reads the iteration count from the second item of its result. Then one
     # traced fit_mlp: nn.forward_ms, nn.backward_ms and nn.adam_ms divide the
     # forward, backward and adam_step spans inside it by its adam_step count,
-    # so each must be looked up through its module global, once a step
-    _run(SCRIPT, str(ROOT / "tests"))
+    # so each must be looked up through its module global, once a step.
+    # Last, kernels.median_heuristic_eval_ms reads the span of
+    # reference_mmds' median heuristic, and kernels.median_heuristic_setup_s
+    # and _peak_mb the span of stage_decoder's, so both must be looked up
+    # through their module's global too, or those metrics would read 0
+    _run(SCRIPT, str(ROOT / "tests"), str(tmp_path))
 
 
 def test_perfbench_reads_the_saved_decoder(tmp_path):
