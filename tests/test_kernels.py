@@ -211,9 +211,12 @@ def _set_sampler(n_rows, n_pairs, rng):
     return i, j, rounds
 
 
-def test_sample_distinct_pairs_draws_as_the_set_sampler():
+@pytest.mark.parametrize("stream", [None, 0])
+def test_sample_distinct_pairs_draws_as_the_set_sampler(stream):
+    # two independent streams per size, so a match is not one seed's accident
+    tags = ("pairs",) if stream is None else ("pairs", stream)
     for n, k in ((30, 434), (200, 15_000), (700, 200_000)):
-        ref_rng, rng = derive_rng(9, "pairs", n), derive_rng(9, "pairs", n)
+        ref_rng, rng = derive_rng(9, *tags, n), derive_rng(9, *tags, n)
         ref_i, ref_j, rounds = _set_sampler(n, k, ref_rng)
         i, j = _sample_distinct_pairs(n, k, rng)
         assert rounds >= 3
